@@ -50,7 +50,7 @@ from .errors import (
     NoConvergence,
     OutOfSupport,
 )
-from .model import IsingParams
+from .model import IsingParams, abscissa_scale
 from .quadrature import g_phi, integrate_phi
 
 _TWO_PI = 2.0 * math.pi
@@ -190,13 +190,6 @@ def gaussian_density_tfim(
     return float(value) if np.isscalar(e) else value
 
 
-def rescaled_energy(E: float | np.ndarray, params: IsingParams) -> float | np.ndarray:
-    """eps = E / sqrt(N (1 + lambda^2 + alpha^2))."""
-    scale = math.sqrt(params.N * (1.0 + params.lam**2 + params.alpha**2))
-    value = np.asarray(E, dtype=float) / scale
-    return float(value) if np.isscalar(E) else value
-
-
 def gaussian_density_two_fields(
     E: float | np.ndarray, params: IsingParams, clamp: bool = False
 ) -> float | np.ndarray:
@@ -211,7 +204,7 @@ def gaussian_density_two_fields(
         raise InvalidArgs("gaussian_density_two_fields requires the two-field model")
     N, lam, alpha = params.N, params.lam, params.alpha
     w = 1.0 + lam * lam + alpha * alpha
-    eps = np.asarray(E, dtype=float) / math.sqrt(N * w)
+    eps = np.asarray(E, dtype=float) / abscissa_scale(params, "eps")
     base = np.exp(-(eps**2) / 2.0) / math.sqrt(_TWO_PI)
     correction = 1.0 - alpha * alpha * (eps**3 - 3.0 * eps) / (math.sqrt(N) * w**1.5)
     value = base * correction

@@ -118,6 +118,9 @@ def count_N2(n: int, k: int) -> int:
 
 
 def _require_partition(N: int, n: int, m: int, k: int) -> None:
+    for name, value in (("n", n), ("m", m), ("k", k)):
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise InvalidArgs(f"{name} must be an integer, got {value!r}")
     if m != N - n:
         raise InvalidArgs(f"m must equal N - n, got N={N}, n={n}, m={m}")
     _validate_cell(N, n, k)

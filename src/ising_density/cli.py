@@ -43,11 +43,12 @@ from .curves import (
     read_curve_csv,
     write_curve_csv,
 )
-from .errors import InvalidArgs, IsingError
+from .errors import EmptySpectrum, InvalidArgs, IsingError
 from .fermion import enumerate_spectrum
 from .model import (
     IsingParams,
     ManyBodySpectrum,
+    abscissa_scale,
     analytic_moments,
     exact_spectrum,
     numeric_moments,
@@ -60,6 +61,7 @@ from .peaks import (
     tfim_mixture_components,
     visibility_Nmax,
 )
+from .table import SPECTRUM_HEADER, Table, open_text, read_table, write_table
 
 _MULTI_KINDS = ("multi-tfim", "multi-strong", "multi-int-alpha", "multi-generic")
 _ANALYTIC_KINDS = ("gaussian", "saddle", "tail")
@@ -67,13 +69,14 @@ _DEFAULT_GRID_MAX_POINTS = 200_001
 
 
 def _compute_errors(fn: Callable) -> Callable:
-    """Translate library errors into the exit-1 stderr-JSON convention."""
+    """Translate library errors, and floating-point overflow or division by
+    zero at extreme inputs, into the exit-1 stderr-JSON convention."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except IsingError as exc:
+        except (IsingError, ArithmeticError) as exc:
             click.echo(
                 json.dumps({"code": type(exc).__name__, "message": str(exc)}),
                 err=True,
@@ -119,71 +122,32 @@ def _params_metadata(params: IsingParams) -> dict:
     }
 
 
-# ----------------------------------------------------------------------------
-# spectrum CSV format
-# ----------------------------------------------------------------------------
-
-
-def _write_spectrum_csv(spectrum: ManyBodySpectrum, destination: str) -> None:
-    meta = _params_metadata(spectrum.params)
-    meta["method"] = spectrum.method
-    lines = [f"# {key} = {value}" for key, value in meta.items()]
-    lines.append("index,energy")
-    lines.extend(
-        f"{i},{float(energy)!r}" for i, energy in enumerate(spectrum.energies)
-    )
-    with open(destination, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
-
-
-def _read_table(path: str) -> tuple[dict, str, list[list[str]]]:
-    metadata: dict[str, str] = {}
-    header = None
-    rows: list[list[str]] = []
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                if stripped.startswith("#"):
-                    key, _, value = stripped.lstrip("#").strip().partition("=")
-                    metadata[key.strip()] = value.strip()
-                elif header is None:
-                    header = stripped
-                else:
-                    rows.append(stripped.split(","))
-    except OSError as exc:
-        raise InvalidArgs(f"cannot read {path}: {exc}") from exc
-    if header is None:
-        raise InvalidArgs(f"{path} contains no table")
-    return metadata, header, rows
-
-
-def _read_spectrum_csv(path: str) -> ManyBodySpectrum:
-    metadata, header, rows = _read_table(path)
-    if header != "index,energy":
-        raise InvalidArgs(f"{path} is not a spectrum CSV (header {header!r})")
+def _spectrum_from_table(table: Table) -> ManyBodySpectrum:
+    if table.kind != "spectrum":
+        raise InvalidArgs(
+            f"{table.source} is not a spectrum CSV (header {table.header!r})"
+        )
+    metadata = table.metadata
     try:
         model = metadata["model"]
         n = int(metadata["n"])
         lam = float(metadata["lambda"])
         alpha = float(metadata.get("alpha", "0.0"))
         method = metadata.get("method", "dense")
-        energies = np.array([float(row[1]) for row in rows])
-    except (KeyError, ValueError, IndexError) as exc:
-        raise InvalidArgs(f"malformed spectrum CSV {path}: {exc}") from exc
+    except (KeyError, ValueError) as exc:
+        raise InvalidArgs(f"malformed spectrum CSV {table.source}: {exc}") from exc
     params = (
         IsingParams.tfim(n, lam)
         if model == "tfim"
         else IsingParams.two_field(n, lam, alpha)
     )
-    return ManyBodySpectrum(energies=energies, method=method, params=params)
+    return ManyBodySpectrum(energies=table.columns[1], method=method, params=params)
 
 
-def _sniff_table(path: str) -> str:
-    _, header, _ = _read_table(path)
-    return "spectrum" if header == "index,energy" else "curve"
+def _write_json(path: str, payload: dict) -> None:
+    with open_text(path, "w") as handle:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
 
 
 # ----------------------------------------------------------------------------
@@ -220,7 +184,9 @@ def spectrum(model, n, lam, alpha, method, out) -> None:
         result = enumerate_spectrum(n, lam)
     else:
         result = exact_spectrum(params)
-    _write_spectrum_csv(result, out)
+    metadata = {**_params_metadata(result.params), "method": result.method}
+    rows = enumerate(map(float, result.energies))
+    write_table(out, metadata, SPECTRUM_HEADER, rows)
 
 
 @main.command()
@@ -233,7 +199,7 @@ def density(source, bins, kde_sigma, out) -> None:
     """Turn a spectrum CSV into an empirical density curve CSV."""
     if bins is not None and kde_sigma is not None:
         raise click.UsageError("--bins and --kde are mutually exclusive")
-    spec = _read_spectrum_csv(source)
+    spec = _spectrum_from_table(read_table(source))
     metadata = _params_metadata(spec.params)
     metadata["method"] = spec.method
     if kde_sigma is not None:
@@ -243,15 +209,6 @@ def density(source, bins, kde_sigma, out) -> None:
         curve = histogram(spec, bins=bins)
         metadata["bins"] = str(bins) if bins is not None else "default"
     write_curve_csv(curve, out, metadata)
-
-
-def _abscissa_scale(target: str, params: IsingParams) -> float:
-    if target == "E":
-        return 1.0
-    if target == "e":
-        return float(params.N)
-    w = 1.0 + params.lam**2 + params.alpha**2
-    return math.sqrt(params.N * w)
 
 
 def _build_mixture(kind: str, params: IsingParams) -> GaussianMixture:
@@ -289,7 +246,7 @@ def _analytic_values(kind: str, params: IsingParams, e_grid: np.ndarray) -> np.n
     if kind == "gaussian":
         if params.model == "tfim":
             return gaussian_density_tfim(e_grid / params.N, params) / params.N
-        scale = _abscissa_scale("eps", params)
+        scale = abscissa_scale(params, "eps")
         return gaussian_density_two_fields(e_grid, params, clamp=True) / scale
     if kind == "saddle":
         return np.array(
@@ -334,13 +291,13 @@ def approx(kind, model, n, lam, alpha, grid, per_spin, rescaled, out) -> None:
         e_grid = (
             _default_energy_grid(mixture)
             if grid is None
-            else grid * _abscissa_scale(target, params)
+            else grid * abscissa_scale(params, target)
         )
         curve = mixture.density_curve(e_grid)
     else:
         if grid is None:
             raise click.UsageError(f"--grid is required for kind '{kind}'")
-        e_grid = grid * _abscissa_scale(target, params)
+        e_grid = grid * abscissa_scale(params, target)
         values = _analytic_values(kind, params, e_grid)
         curve = DensityCurve(e_grid, values, abscissa="E", norm="unit")
     if target != "E":
@@ -352,10 +309,7 @@ def approx(kind, model, n, lam, alpha, grid, per_spin, rescaled, out) -> None:
             if out.endswith(".csv")
             else out + ".mixture.json"
         )
-        payload = {"params": metadata, **mixture.to_json_dict()}
-        with open(sidecar, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+        _write_json(sidecar, {"params": metadata, **mixture.to_json_dict()})
 
 
 @main.command("compare")
@@ -370,19 +324,21 @@ def compare_command(path_a, path_b, out) -> None:
     absolute difference, sup = max); curve inputs are compared as densities
     with peak matching.
     """
-    kind_a, kind_b = _sniff_table(path_a), _sniff_table(path_b)
-    if kind_a != kind_b:
+    table_a, table_b = read_table(path_a), read_table(path_b)
+    if table_a.kind != table_b.kind:
         raise InvalidArgs(
-            f"cannot compare a {kind_a} file with a {kind_b} file"
+            f"cannot compare a {table_a.kind} file with a {table_b.kind} file"
         )
-    if kind_a == "spectrum":
-        spec_a = _read_spectrum_csv(path_a)
-        spec_b = _read_spectrum_csv(path_b)
+    if table_a.kind == "spectrum":
+        spec_a = _spectrum_from_table(table_a)
+        spec_b = _spectrum_from_table(table_b)
         if len(spec_a.energies) != len(spec_b.energies):
             raise InvalidArgs(
                 "spectrum comparison needs equal level counts, got "
                 f"{len(spec_a.energies)} and {len(spec_b.energies)}"
             )
+        if len(spec_a.energies) == 0:
+            raise EmptySpectrum("cannot compare empty spectra")
         diff = np.abs(np.sort(spec_a.energies) - np.sort(spec_b.energies))
         report = ComparisonReport(
             l1=float(np.mean(diff)),
@@ -391,12 +347,10 @@ def compare_command(path_a, path_b, out) -> None:
             grids_aligned=True,
         )
     else:
-        curve_a, _ = read_curve_csv(path_a)
-        curve_b, _ = read_curve_csv(path_b)
+        curve_a, _ = read_curve_csv(table_a)
+        curve_b, _ = read_curve_csv(table_b)
         report = compare(curve_a, curve_b)
-    with open(out, "w", encoding="utf-8") as handle:
-        json.dump(report.to_json_dict(), handle, indent=2)
-        handle.write("\n")
+    _write_json(out, report.to_json_dict())
 
 
 @main.command()
@@ -409,19 +363,14 @@ def census(n, alpha, out) -> None:
     if alpha is None:
         result = block_census(n)
         table = {**result.polarized, **result.table}
-        lines = [f"# n = {n}", "n,k,f"]
-        lines.extend(
-            f"{nn},{kk},{table[(nn, kk)]}" for nn, kk in sorted(table)
-        )
+        rows = ((nn, kk, table[(nn, kk)]) for nn, kk in sorted(table))
+        write_table(out, {"n": n}, "n,k,f", rows)
     else:
         result = degeneracy_census(n, alpha)
-        lines = [f"# n = {n}", f"# alpha = {alpha}", "R,count,energy"]
-        lines.extend(
-            f"{R},{result.classes[R]},{result.energy_of[R]}"
-            for R in sorted(result.classes)
+        rows = (
+            (R, result.classes[R], result.energy_of[R]) for R in sorted(result.classes)
         )
-    with open(out, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+        write_table(out, {"n": n, "alpha": alpha}, "R,count,energy", rows)
 
 
 @main.command()
@@ -437,17 +386,11 @@ def moments(model, n, lam, alpha, max_order, out) -> None:
     params = _build_params(model, n, lam, alpha)
     numeric = numeric_moments(exact_spectrum(params), max_order=max_order)
     analytic = analytic_moments(params)
-    metadata = _params_metadata(params)
-    lines = [f"# {key} = {value}" for key, value in metadata.items()]
-    lines.append("order,numeric,analytic")
-    for order in range(1, max_order + 1):
-        numeric_m = getattr(numeric, f"m{order}")
-        analytic_m = getattr(analytic, f"m{order}")
-        numeric_text = "" if numeric_m is None else repr(float(numeric_m))
-        analytic_text = "" if analytic_m is None else repr(float(analytic_m))
-        lines.append(f"{order},{numeric_text},{analytic_text}")
-    with open(out, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    rows = [
+        (k, float(getattr(numeric, f"m{k}")), float(getattr(analytic, f"m{k}")))
+        for k in range(1, max_order + 1)
+    ]
+    write_table(out, _params_metadata(params), "order,numeric,analytic", rows)
 
 
 @main.command()

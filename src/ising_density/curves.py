@@ -16,9 +16,9 @@ from typing import IO, Iterable
 import numpy as np
 
 from .errors import DisjointSupports, EmptySpectrum, InvalidArgs
-from .model import IsingParams, ManyBodySpectrum
+from .model import ABSCISSAE, IsingParams, ManyBodySpectrum, abscissa_scale
+from .table import CURVE_HEADER, Table, read_table, write_table
 
-_ABSCISSAE = ("E", "e", "eps")
 _NORMS = ("unit", "counts")
 
 MAX_DEFAULT_BINS = 400
@@ -43,11 +43,11 @@ class DensityCurve:
             raise InvalidArgs("a density curve needs at least two grid points")
         if not np.all(np.diff(grid) > 0):
             raise InvalidArgs("grid must be strictly ascending")
-        if np.any(values < -1e-12):
+        if not np.all(values >= -1e-12):
             raise InvalidArgs("densities must be nonnegative")
         values = np.maximum(values, 0.0)
-        if self.abscissa not in _ABSCISSAE:
-            raise InvalidArgs(f"abscissa must be one of {_ABSCISSAE}")
+        if self.abscissa not in ABSCISSAE:
+            raise InvalidArgs(f"abscissa must be one of {ABSCISSAE}")
         if self.norm not in _NORMS:
             raise InvalidArgs(f"norm must be one of {_NORMS}")
         object.__setattr__(self, "grid", grid)
@@ -59,17 +59,7 @@ class DensityCurve:
 
     def with_abscissa(self, target: str, params: IsingParams) -> "DensityCurve":
         """Exact mass-preserving change of abscissa units."""
-        if target not in _ABSCISSAE:
-            raise InvalidArgs(f"abscissa must be one of {_ABSCISSAE}")
-
-        def scale_of(kind: str) -> float:
-            if kind == "E":
-                return 1.0
-            if kind == "e":
-                return float(params.N)
-            return math.sqrt(params.N * (1.0 + params.lam**2 + params.alpha**2))
-
-        factor = scale_of(self.abscissa) / scale_of(target)
+        factor = abscissa_scale(params, self.abscissa) / abscissa_scale(params, target)
         return DensityCurve(
             grid=self.grid * factor,
             values=self.values / factor,
@@ -247,50 +237,25 @@ def write_curve_csv(
     curve: DensityCurve, destination: str | IO[str], metadata: dict | None = None
 ) -> None:
     """Write a curve as CSV with `# key = value` metadata comment lines."""
-    lines = []
-    combined = dict(metadata or {})
-    combined["abscissa"] = curve.abscissa
-    combined["norm"] = curve.norm
-    for key, value in combined.items():
-        lines.append(f"# {key} = {value}")
-    lines.append("abscissa,density")
-    for x, y in zip(curve.grid, curve.values):
-        lines.append(f"{float(x)!r},{float(y)!r}")
-    text = "\n".join(lines) + "\n"
-    if isinstance(destination, str):
-        with open(destination, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        destination.write(text)
+    metadata = {**(metadata or {}), "abscissa": curve.abscissa, "norm": curve.norm}
+    rows = zip(map(float, curve.grid), map(float, curve.values))
+    write_table(destination, metadata, CURVE_HEADER, rows)
 
 
-def read_curve_csv(source: str | IO[str]) -> tuple[DensityCurve, dict]:
-    """Read a curve written by write_curve_csv; metadata values stay strings."""
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    else:
-        lines = source.read().splitlines()
-    metadata: dict[str, str] = {}
-    rows: list[tuple[float, float]] = []
-    for line in lines:
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            body = stripped.lstrip("#").strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                metadata[key.strip()] = value.strip()
-            continue
-        if stripped.lower().startswith("abscissa"):
-            continue
-        x_text, _, y_text = stripped.partition(",")
-        rows.append((float(x_text), float(y_text)))
-    if len(rows) < 2:
+def read_curve_csv(source: str | IO[str] | Table) -> tuple[DensityCurve, dict]:
+    """Read a curve written by write_curve_csv; metadata values stay strings.
+
+    ``source`` is a path, an open text handle, or a table already read.
+    """
+    table = source if isinstance(source, Table) else read_table(source)
+    if table.header != CURVE_HEADER:
+        raise InvalidArgs(
+            f"{table.source} is not a curve CSV (header {table.header!r})"
+        )
+    grid, values = table.columns
+    if len(grid) < 2:
         raise InvalidArgs("curve CSV needs at least two data rows")
-    grid = np.array([r[0] for r in rows])
-    values = np.array([r[1] for r in rows])
+    metadata = dict(table.metadata)
     abscissa = metadata.pop("abscissa", "E")
     norm = metadata.pop("norm", "unit")
     return DensityCurve(grid, values, abscissa=abscissa, norm=norm), metadata

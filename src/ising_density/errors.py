@@ -1,8 +1,4 @@
-"""Exception hierarchy for the ising_density package.
-
-Every error carries a short machine-readable ``code`` used by the CLI when
-reporting failures as JSON on stderr.
-"""
+"""Exception hierarchy for the ising_density package."""
 
 from __future__ import annotations
 
@@ -10,79 +6,53 @@ from __future__ import annotations
 class IsingError(Exception):
     """Base class for all package errors."""
 
-    code = "error"
-
 
 class CapExceeded(IsingError):
     """A requested computation would exceed a configured size/memory cap."""
-
-    code = "cap-exceeded"
 
 
 class EigensolverFailure(IsingError):
     """The dense symmetric eigensolver failed to converge."""
 
-    code = "eigensolver-failure"
-
 
 class OddN(IsingError):
     """Free-fermion operations require an even spin count."""
-
-    code = "odd-n"
 
 
 class InvalidArgs(IsingError):
     """Arguments violate an operation's preconditions."""
 
-    code = "invalid-args"
-
 
 class OutOfSupport(IsingError):
     """Energy per spin lies at or outside the spectral support |e_gs|."""
-
-    code = "out-of-support"
 
 
 class NoConvergence(IsingError):
     """Root bracketing or iteration failed to converge."""
 
-    code = "no-convergence"
-
 
 class AtOrBelowGroundState(IsingError):
     """Tail formula evaluated at E <= E_gs."""
-
-    code = "at-or-below-ground-state"
 
 
 class InvalidRegime(IsingError):
     """Unknown visibility regime tag."""
 
-    code = "invalid-regime"
-
 
 class UnknownClass(IsingError):
     """Degeneracy class label R is not realized for the given parameters."""
-
-    code = "unknown-class"
 
 
 class AlphaSingular(IsingError):
     """Second-order shift formula is singular at |alpha| = 2."""
 
-    code = "alpha-singular"
-
 
 class EmptySpectrum(IsingError):
     """Density estimation requires at least one eigenvalue."""
 
-    code = "empty-spectrum"
-
 
 class DisjointSupports(IsingError):
     """Two curves share no abscissa overlap to compare on."""
-
-    code = "disjoint-supports"
 
 
 class NegativeDensityWarning(UserWarning):

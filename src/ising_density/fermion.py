@@ -24,12 +24,12 @@ exactly, so negative lambda is enumerated via |lambda|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapExceeded, InvalidArgs, OddN
 from .model import IsingParams, ManyBodySpectrum
+from .quadrature import g_phi
 
 DEFAULT_MAX_SITES = 22
 
@@ -41,19 +41,9 @@ _SECTOR_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class SectorSpec:
-    """One fermionic sector: parity label, momentum grid, one-particle energies."""
-
-    parity: str
-    phases: np.ndarray
-    one_particle: np.ndarray
-
-
 def one_particle_energy(lam: float, phi: float | np.ndarray) -> float | np.ndarray:
-    """Dispersion e(phi) = 2 sqrt(1 - 2 lambda cos phi + lambda^2) >= 0."""
-    radicand = 1.0 - 2.0 * lam * np.cos(phi) + lam * lam
-    result = 2.0 * np.sqrt(np.maximum(radicand, 0.0))
+    """Dispersion e(phi) = 2 g(phi) = 2 sqrt(1 - 2 lambda cos phi + lambda^2) >= 0."""
+    result = 2.0 * g_phi(phi, lam)
     return float(result) if np.isscalar(phi) else result
 
 
@@ -71,16 +61,6 @@ def momentum_grid(N: int, parity: str) -> np.ndarray:
     if key == "even":
         return math.pi * (2 * j + 1) / N
     return 2 * math.pi * j / N
-
-
-def sector_spec(N: int, lam: float, parity: str) -> SectorSpec:
-    """Build one sector's grid and one-particle energies."""
-    phases = momentum_grid(N, parity)
-    return SectorSpec(
-        parity=_SECTOR_NAMES[parity],
-        phases=phases,
-        one_particle=one_particle_energy(lam, phases),
-    )
 
 
 def _sector_levels(energies: np.ndarray, keep_even: bool) -> np.ndarray:
@@ -111,13 +91,12 @@ def enumerate_spectrum(
             f"cap {max_sites}"
         )
     size = abs(lam)
-    even = sector_spec(N, size, "even")
-    odd = sector_spec(N, size, "odd")
-    odd_keeps_even_occupation = size <= 1.0
+    even = one_particle_energy(size, momentum_grid(N, "even"))
+    odd = one_particle_energy(size, momentum_grid(N, "odd"))
     energies = np.concatenate(
         [
-            _sector_levels(even.one_particle, keep_even=True),
-            _sector_levels(odd.one_particle, keep_even=odd_keeps_even_occupation),
+            _sector_levels(even, keep_even=True),
+            _sector_levels(odd, keep_even=size <= 1.0),
         ]
     )
     energies.sort()

@@ -23,6 +23,7 @@ long enough that no product of k local terms can wrap around it:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +33,8 @@ from .errors import CapExceeded, EigensolverFailure, InvalidArgs
 DEFAULT_MAX_BYTES = 4 * 1024**3
 
 _MODELS = ("tfim", "two-field")
-_METHODS = ("dense", "fermion", "classical")
+_METHODS = ("dense", "fermion")
+ABSCISSAE = ("E", "e", "eps")
 
 
 @dataclass(frozen=True)
@@ -50,6 +52,10 @@ class IsingParams:
         object.__setattr__(self, "N", int(self.N))
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "alpha", float(self.alpha))
+        if not (math.isfinite(self.lam) and math.isfinite(self.alpha)):
+            raise InvalidArgs(
+                f"lambda and alpha must be finite, got {self.lam!r} and {self.alpha!r}"
+            )
         if self.model not in _MODELS:
             raise InvalidArgs(f"model must be one of {_MODELS}, got {self.model!r}")
         if self.model == "tfim" and self.alpha != 0.0:
@@ -64,6 +70,18 @@ class IsingParams:
         return cls(N=N, lam=lam, alpha=alpha, model="two-field")
 
 
+def abscissa_scale(params: IsingParams, abscissa: str) -> float:
+    """Energy per unit of an abscissa: 1 for ``E``, N for the per-spin ``e``
+    and sqrt(N (1 + lambda^2 + alpha^2)) for the rescaled ``eps``."""
+    if abscissa == "E":
+        return 1.0
+    if abscissa == "e":
+        return float(params.N)
+    if abscissa == "eps":
+        return math.sqrt(params.N * (1.0 + params.lam**2 + params.alpha**2))
+    raise InvalidArgs(f"abscissa must be one of {ABSCISSAE}")
+
+
 @dataclass(frozen=True)
 class ManyBodySpectrum:
     """A complete sorted many-body spectrum and how it was obtained."""
@@ -76,6 +94,8 @@ class ManyBodySpectrum:
         energies = np.asarray(self.energies, dtype=float)
         if energies.ndim != 1:
             raise InvalidArgs("energies must be a one-dimensional array")
+        if not np.all(np.isfinite(energies)):
+            raise InvalidArgs("energies must be finite")
         object.__setattr__(self, "energies", energies)
         if self.method not in _METHODS:
             raise InvalidArgs(f"method must be one of {_METHODS}, got {self.method!r}")

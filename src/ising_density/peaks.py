@@ -17,9 +17,10 @@ mixture of Gaussians, one per cluster.  Four regimes are covered:
 * **Small coupling at generic longitudinal field** -- one component per
   ``(n, k)`` cell, with the polarized cells appearing as delta spikes.
 
-Each regime exposes both the raw component list (weights, centers, widths)
-and a sampled :class:`~ising_density.curves.DensityCurve`; a visibility
-helper reports up to which ring size the cluster structure remains resolved.
+Each regime builds a :class:`GaussianMixture` of components (weights,
+centers, widths), which samples itself onto a grid as a
+:class:`~ising_density.curves.DensityCurve`; a visibility helper reports up
+to which ring size the cluster structure remains resolved.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .blocks import (
+    _comp,
+    _require_partition,
     cells,
     count_Na,
     count_Nb,
@@ -49,7 +52,6 @@ from .errors import (
     UnknownClass,
 )
 from .fermion import momentum_grid, one_particle_energy
-from .model import IsingParams
 from .quadrature import g_phi, integrate_phi
 
 __all__ = [
@@ -59,20 +61,16 @@ __all__ = [
     "Visibility",
     "XXProjectionReport",
     "generic_alpha_components",
-    "generic_alpha_mixture",
     "mean_one_particle_energy",
     "small_lambda_components",
     "small_lambda_deltaE",
     "small_lambda_deltaE_R",
     "small_lambda_ER",
-    "small_lambda_mixture_integer_alpha",
     "small_lambda_sigmaR",
     "strong_field_components",
-    "strong_field_mixture",
     "strong_field_moments",
     "tfim_fixed_n_moments",
     "tfim_mixture_components",
-    "tfim_multi_gaussian",
     "visibility_Nmax",
     "xx_projection_check",
 ]
@@ -253,19 +251,12 @@ def tfim_mixture_components(N: int, lam: float) -> GaussianMixture:
     """
     lam = float(lam)
     occupations = range(0, N + 1) if abs(lam) >= 1.0 else range(0, N + 1, 2)
-    scale = 2.0**N if abs(lam) >= 1.0 else 2.0 ** (N - 1)
+    scale = 2**N if abs(lam) >= 1.0 else 2 ** (N - 1)
     comps = []
     for n in occupations:
         mean, var = tfim_fixed_n_moments(N, lam, n)
         comps.append(MixtureComponent(math.comb(N, n) / scale, mean, var))
     return GaussianMixture(tuple(comps))
-
-
-def tfim_multi_gaussian(params: IsingParams, grid: Iterable[float]) -> DensityCurve:
-    """Sampled occupation-cluster mixture for a transverse-field ring."""
-    if params.alpha != 0.0:
-        raise InvalidArgs("occupation-cluster mixture requires alpha = 0")
-    return tfim_mixture_components(params.N, params.lam).density_curve(grid)
 
 
 # ----------------------------------------------------------------------------
@@ -359,15 +350,8 @@ def strong_field_components(N: int, lam: float, alpha: float) -> GaussianMixture
     comps = []
     for n in range(N + 1):
         mean, var = strong_field_moments(N, lam, alpha, n)
-        comps.append(MixtureComponent(math.comb(N, n) / 2.0**N, mean, var))
+        comps.append(MixtureComponent(math.comb(N, n) / 2**N, mean, var))
     return GaussianMixture(tuple(comps))
-
-
-def strong_field_mixture(params: IsingParams, grid: Iterable[float]) -> DensityCurve:
-    """Sampled anti-alignment-cluster mixture for a two-field ring."""
-    return strong_field_components(params.N, params.lam, params.alpha).density_curve(
-        grid
-    )
 
 
 # ----------------------------------------------------------------------------
@@ -421,27 +405,6 @@ def small_lambda_ER(N: int, lam: float, R: int) -> float:
     )
 
 
-def _require_cell_pair(N: int, n: int, m: int, k: int) -> None:
-    for name, value in (("n", n), ("m", m), ("k", k)):
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-            raise InvalidArgs(f"{name} must be an integer, got {value!r}")
-    if m != N - n:
-        raise InvalidArgs(f"cell partner must satisfy m = N - n, got m={m}, N-n={N - n}")
-    if n < 1 or n > N - 1 or k < 1 or k > min(n, m):
-        raise InvalidArgs(
-            f"(n, k) = ({n}, {k}) is not an interior cell of the ring N = {N}"
-        )
-
-
-def _comp_count(j: int, r: int) -> int:
-    """Compositions of j into r positive parts: C(j-1, r-1), comp(0, 0) = 1."""
-    if j == 0 and r == 0:
-        return 1
-    if j < 1 or r < 1:
-        return 0
-    return math.comb(j - 1, r - 1)
-
-
 def small_lambda_deltaE(
     N: int, n: int, m: int, k: int, alpha: float, lam: float
 ) -> float:
@@ -456,7 +419,11 @@ def small_lambda_deltaE(
     perturbation sum shows.  The longitudinal fields ``alpha = +/-2`` make a
     denominator vanish and are rejected.
     """
-    _require_cell_pair(N, n, m, k)
+    _require_partition(N, n, m, k)
+    if k == 0:
+        raise InvalidArgs(
+            f"(n, k) = ({n}, {k}) is not an interior cell of the ring N = {N}"
+        )
     alpha, lam = float(alpha), float(lam)
     if abs(alpha) == 2.0:
         raise AlphaSingular(
@@ -466,10 +433,10 @@ def small_lambda_deltaE(
     if lam == 0.0:
         return 0.0
     pref = 2.0 * alpha**2 * lam**2 * N / (alpha**2 + lam**2) ** 2
-    c_nk = _comp_count(n, k)
-    c_mk = _comp_count(m, k)
-    c_nk2 = _comp_count(n - 1, k - 1)
-    c_mk2 = _comp_count(m - 1, k - 1)
+    c_nk = _comp(n, k)
+    c_mk = _comp(m, k)
+    c_nk2 = _comp(n - 1, k - 1)
+    c_mk2 = _comp(m - 1, k - 1)
     bracket = ((2 * k - n) / (2.0 + alpha) + (2 * k - m) / (2.0 - alpha)) * (
         c_nk * c_mk / k
     )
@@ -524,27 +491,13 @@ def small_lambda_components(
     census = _unit_alpha_census(N)
     comps = []
     for R in sorted(census.classes):
-        w = census.classes[R] / 2.0**N
+        w = census.classes[R] / 2**N
         mu = small_lambda_ER(N, lam, R)
         if corrections:
             mu += small_lambda_deltaE_R(N, lam, R)
         sigma = small_lambda_sigmaR(N, lam, R)
         comps.append(MixtureComponent(w, mu, sigma * sigma))
     return GaussianMixture(tuple(comps))
-
-
-def small_lambda_mixture_integer_alpha(
-    params: IsingParams, grid: Iterable[float], corrections: bool = True
-) -> DensityCurve:
-    """Sampled class-cluster mixture; requires the unit longitudinal field."""
-    if params.alpha != 1.0:
-        raise InvalidArgs(
-            "the class-cluster mixture is implemented for alpha = 1 "
-            f"(got alpha = {params.alpha!r})"
-        )
-    return small_lambda_components(params.N, params.lam, corrections).density_curve(
-        grid
-    )
 
 
 # ----------------------------------------------------------------------------
@@ -582,7 +535,7 @@ def generic_alpha_components(
     comps = []
     for n, k in ((0, 0), (N, 0)):
         mu = alpha * (N - 2 * n) + 4 * k - N
-        comps.append(MixtureComponent(2.0**-N, mu, max(0.0, floor_var)))
+        comps.append(MixtureComponent(1 / 2**N, mu, max(0.0, floor_var)))
     for n, k in cells(N, include_polarized=False):
         f = f_count(N, n, k)
         mu = alpha * (N - 2 * n) + 4 * k - N
@@ -590,21 +543,8 @@ def generic_alpha_components(
             var = coupling * float(Fraction(count_Nc(N, n, N - n, k), f))
         else:
             var = 2.0 * coupling * k * k * (N - 2 * k) / (n * (N - n))
-        comps.append(MixtureComponent(f / 2.0**N, mu, max(var, floor_var)))
+        comps.append(MixtureComponent(f / 2**N, mu, max(var, floor_var)))
     return GaussianMixture(tuple(comps))
-
-
-def generic_alpha_mixture(
-    params: IsingParams,
-    grid: Iterable[float],
-    exact_variance: bool = False,
-    sigma_floor: float = 0.0,
-) -> DensityCurve:
-    """Sampled cell-resolved mixture for a two-field ring at small coupling."""
-    mixture = generic_alpha_components(
-        params.N, params.lam, params.alpha, exact_variance, sigma_floor
-    )
-    return mixture.density_curve(grid)
 
 
 # ----------------------------------------------------------------------------

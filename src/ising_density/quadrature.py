@@ -37,6 +37,8 @@ def gauss_legendre(
     order = min_order
     x, w = _leggauss(order)
     prev = half * float(np.dot(w, f(mid + half * x)))
+    if not np.isfinite(prev):
+        raise NoConvergence(f"quadrature integrand is not finite on [{a}, {b}]")
     while order <= _MAX_ORDER:
         order *= 2
         x, w = _leggauss(order)

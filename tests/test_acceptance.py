@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 import shutil
 import subprocess
+import sys
 import time
 from collections import Counter
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,9 +53,6 @@ from ising_density.peaks import (
     tfim_mixture_components,
     xx_projection_check,
 )
-
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-_ARTIFACTS = _REPO_ROOT / "artifacts"
 
 
 def _verdict(number: int, ok: bool, detail: str) -> None:
@@ -119,7 +116,7 @@ def test_criterion_02_moment_identities() -> None:
 # ----------------------------------------------------------------------------
 
 
-def test_criterion_03_saddle_vs_gaussian() -> None:
+def test_criterion_03_saddle_vs_gaussian(tmp_path) -> None:
     params = IsingParams.tfim(16, 1.0)
     grid = np.linspace(-0.75, 0.75, 801)
     saddle = np.array([saddle_density(float(e), params) for e in grid])
@@ -127,14 +124,14 @@ def test_criterion_03_saddle_vs_gaussian() -> None:
     scale = saddle_density(0.0, params)
     sup = float(np.max(np.abs(saddle - gauss))) / scale
 
-    _ARTIFACTS.mkdir(exist_ok=True)
     lines = ["# model = tfim", "# n = 16", "# lambda = 1.0", "e,difference"]
     lines.extend(f"{float(e)!r},{float(d)!r}" for e, d in zip(grid, saddle - gauss))
-    (_ARTIFACTS / "criterion3_difference.csv").write_text("\n".join(lines) + "\n")
+    difference_csv = tmp_path / "criterion3_difference.csv"
+    difference_csv.write_text("\n".join(lines) + "\n")
 
     ok = sup <= 0.05
     _verdict(3, ok, f"sup|saddle - gaussian|/rho(0) = {sup:.4f} (tol 0.05), "
-                    f"difference CSV in artifacts/")
+                    f"difference CSV in {difference_csv}")
 
 
 # ----------------------------------------------------------------------------
@@ -402,8 +399,8 @@ def _count_local_maxima(values: np.ndarray) -> int:
 
 
 def test_criterion_11_cli_preview(tmp_path) -> None:
-    executable = shutil.which("ising-density")
-    assert executable is not None, "console script ising-density not on PATH"
+    script = shutil.which("ising-density")
+    command = [script] if script else [sys.executable, "-m", "ising_density"]
     commands = (
         ("multi-int-alpha", ["--kind", "multi-int-alpha", "--n", "64",
                              "--lambda", "0.3333", "--alpha", "1"]),
@@ -415,7 +412,7 @@ def test_criterion_11_cli_preview(tmp_path) -> None:
         out = tmp_path / f"{name}.csv"
         start = time.perf_counter()
         proc = subprocess.run(
-            [executable, "approx", *args, "--out", str(out)],
+            [*command, "approx", *args, "--out", str(out)],
             capture_output=True,
             text=True,
         )

@@ -18,7 +18,6 @@ from ising_density.analytic import (
     gaussian_density_tfim,
     gaussian_density_two_fields,
     ground_state_energy_per_spin,
-    rescaled_energy,
     saddle_density,
     solve_saddle,
     tail_density_critical,
@@ -28,7 +27,7 @@ from ising_density.errors import (
     NegativeDensityWarning,
     OutOfSupport,
 )
-from ising_density.model import IsingParams
+from ising_density.model import IsingParams, abscissa_scale
 
 
 def quad_rhs(beta: float, lam: float) -> float:
@@ -182,7 +181,8 @@ def test_two_field_density_negative_warns() -> None:
 
 def test_rescaled_energy() -> None:
     params = IsingParams.two_field(16, 1.0, 1.0)
-    assert rescaled_energy(math.sqrt(48.0), params) == pytest.approx(1.0, rel=1e-12)
+    eps = math.sqrt(48.0) / abscissa_scale(params, "eps")
+    assert eps == pytest.approx(1.0, rel=1e-12)
 
 
 def test_tail_density_critical_closed_form() -> None:

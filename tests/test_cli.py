@@ -227,6 +227,56 @@ class TestApprox:
         assert result.exit_code == 1
         assert json.loads(result.stderr)["code"] == "InvalidArgs"
 
+    def test_multi_tfim_rejects_longitudinal_field(self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "approx", "--kind", "multi-tfim", "--n", "8", "--lambda", "1",
+            "--alpha", "0.5", "--out", str(tmp_path / "x.csv"),
+        ])
+        assert result.exit_code == 1
+        assert json.loads(result.stderr)["code"] == "InvalidArgs"
+
+    @pytest.mark.parametrize("kind,couplings", [
+        ("multi-tfim", ["--lambda", "0.5"]),
+        ("multi-strong", ["--lambda", "4", "--alpha", "1"]),
+    ])
+    def test_weights_do_not_overflow_on_large_rings(
+        self, runner, tmp_path, kind, couplings
+    ):
+        out = tmp_path / "large.csv"
+        run_ok(runner, [
+            "approx", "--kind", kind, "--n", "1100", *couplings, "--out", str(out),
+        ])
+        curve, _ = read_curve_csv(str(out))
+        assert curve.integral() == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("lam,alpha", [
+        ("nan", "0"), ("inf", "0"), ("0.5", "nan"), ("0.5", "-inf"),
+    ])
+    def test_non_finite_couplings_are_compute_errors(self, runner, tmp_path, lam, alpha):
+        out = tmp_path / "x.csv"
+        result = runner.invoke(main, [
+            "approx", "--kind", "gaussian", "--n", "8", "--lambda", lam,
+            "--alpha", alpha, "--grid", "-3:3:7", "--out", str(out),
+        ])
+        assert result.exit_code == 1
+        assert json.loads(result.stderr)["code"] == "InvalidArgs"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind,lam,code", [
+        ("saddle", "1e300", "NoConvergence"),
+        ("saddle", "1e20", "ZeroDivisionError"),
+        ("multi-strong", "1e100", "OverflowError"),
+    ])
+    def test_extreme_couplings_are_compute_errors(
+        self, runner, tmp_path, kind, lam, code
+    ):
+        result = runner.invoke(main, [
+            "approx", "--kind", kind, "--n", "8", "--lambda", lam,
+            "--grid", "-0.5:0.5:5", "--per-spin", "--out", str(tmp_path / "x.csv"),
+        ])
+        assert result.exit_code == 1
+        assert json.loads(result.stderr)["code"] == code
+
     def test_rerun_is_byte_identical(self, runner, tmp_path):
         out = tmp_path / "again.csv"
         args = [
@@ -272,6 +322,59 @@ class TestCompare:
         ])
         assert result.exit_code == 1
         assert json.loads(result.stderr)["code"] == "InvalidArgs"
+
+
+class TestFileErrors:
+    """Unreadable inputs and unwritable outputs give one JSON line and exit 1."""
+
+    @staticmethod
+    def assert_file_error(result, path):
+        assert result.exit_code == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["code"] == "InvalidArgs"
+        assert str(path) in payload["message"]
+
+    @pytest.mark.parametrize("args", [
+        ["spectrum", "--model", "tfim", "--n", "4", "--lambda", "0.5"],
+        ["approx", "--kind", "gaussian", "--n", "8", "--lambda", "1",
+         "--grid", "-3:3:7"],
+    ])
+    def test_unwritable_out(self, runner, tmp_path, args):
+        out = tmp_path / "missing" / "x.csv"
+        self.assert_file_error(runner.invoke(main, [*args, "--out", str(out)]), out)
+
+    def test_unwritable_mixture_sidecar(self, runner, tmp_path):
+        sidecar = tmp_path / "m.mixture.json"
+        sidecar.mkdir()
+        result = runner.invoke(main, [
+            "approx", "--kind", "multi-tfim", "--n", "8", "--lambda", "1",
+            "--out", str(tmp_path / "m.csv"),
+        ])
+        self.assert_file_error(result, sidecar)
+
+    def test_unwritable_compare_report(self, runner, tmp_path):
+        curve = tmp_path / "c.csv"
+        run_ok(runner, [
+            "approx", "--kind", "multi-tfim", "--n", "6", "--lambda", "1",
+            "--grid", "-20:20:401", "--out", str(curve),
+        ])
+        out = tmp_path / "missing" / "r.json"
+        result = runner.invoke(main, [
+            "compare", "--a", str(curve), "--b", str(curve), "--out", str(out),
+        ])
+        self.assert_file_error(result, out)
+
+    def test_non_numeric_curve_row(self, runner, tmp_path):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text("abscissa,density\n-1.0,0.0\n0.0,1.0\n1.0,0.0\n")
+        bad.write_text("abscissa,density\n-1.0,0.0\n0.0,peak\n1.0,0.0\n")
+        result = runner.invoke(main, [
+            "compare", "--a", str(good), "--b", str(bad),
+            "--out", str(tmp_path / "r.json"),
+        ])
+        self.assert_file_error(result, bad)
 
 
 class TestCensus:

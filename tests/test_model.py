@@ -17,6 +17,7 @@ from ising_density.errors import CapExceeded, InvalidArgs
 from ising_density.model import (
     IsingParams,
     ManyBodySpectrum,
+    abscissa_scale,
     analytic_moments,
     build_hamiltonian,
     exact_spectrum,
@@ -42,6 +43,25 @@ def test_params_validation() -> None:
         IsingParams(N=4, lam=1.0, model="bogus")
     p = IsingParams.two_field(6, 0.5, 1.0)
     assert p.model == "two-field" and p.alpha == 1.0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_params_reject_non_finite_couplings(bad: float) -> None:
+    with pytest.raises(InvalidArgs):
+        IsingParams.tfim(6, bad)
+    with pytest.raises(InvalidArgs):
+        IsingParams.two_field(6, bad, 0.5)
+    with pytest.raises(InvalidArgs):
+        IsingParams.two_field(6, 0.5, bad)
+
+
+def test_abscissa_scale() -> None:
+    params = IsingParams.two_field(16, 1.0, 1.0)
+    assert abscissa_scale(params, "E") == 1.0
+    assert abscissa_scale(params, "e") == 16.0
+    assert abscissa_scale(params, "eps") == pytest.approx(48.0**0.5, rel=1e-15)
+    with pytest.raises(InvalidArgs):
+        abscissa_scale(params, "bogus")
 
 
 def test_build_hamiltonian_three_site_classical() -> None:

@@ -34,6 +34,7 @@ from ising_density.blocks import (
     degeneracy_census,
     f_count,
 )
+from ising_density.cli import _build_mixture
 from ising_density.curves import DensityCurve
 from ising_density.errors import (
     AlphaSingular,
@@ -51,20 +52,16 @@ from ising_density.peaks import (
     Visibility,
     XXProjectionReport,
     generic_alpha_components,
-    generic_alpha_mixture,
     mean_one_particle_energy,
     small_lambda_components,
     small_lambda_deltaE,
     small_lambda_deltaE_R,
     small_lambda_ER,
-    small_lambda_mixture_integer_alpha,
     small_lambda_sigmaR,
     strong_field_components,
-    strong_field_mixture,
     strong_field_moments,
     tfim_fixed_n_moments,
     tfim_mixture_components,
-    tfim_multi_gaussian,
     visibility_Nmax,
     xx_projection_check,
 )
@@ -333,17 +330,15 @@ class TestTfimMixture:
 
     @pytest.mark.parametrize("lam", [0.2, 1.5])
     def test_unit_integral(self, lam):
-        params = IsingParams.tfim(14, lam)
         width = 14 * (1 + lam) + 12.0
         grid = np.linspace(-width, width, 4001)
-        curve = tfim_multi_gaussian(params, grid)
+        curve = tfim_mixture_components(14, lam).density_curve(grid)
         assert isinstance(curve, DensityCurve)
         assert curve.integral() == pytest.approx(1.0, abs=1e-9)
 
     def test_density_symmetric_in_energy(self):
-        params = IsingParams.tfim(10, 0.7)
         grid = np.linspace(-24.0, 24.0, 1001)
-        curve = tfim_multi_gaussian(params, grid)
+        curve = tfim_mixture_components(10, 0.7).density_curve(grid)
         assert curve.values == pytest.approx(curve.values[::-1], rel=1e-12, abs=1e-300)
 
     def test_cluster_counts_at_strong_coupling(self):
@@ -359,11 +354,6 @@ class TestTfimMixture:
         # The mean sign convention mirrors occupation n -> N - n, so compare
         # against the reversed binomial row (which is symmetric anyway).
         assert [len(c) for c in clusters] == [math.comb(N, N - n) for n in range(N + 1)]
-
-    def test_longitudinal_field_rejected(self):
-        grid = np.linspace(-10, 10, 101)
-        with pytest.raises(InvalidArgs):
-            tfim_multi_gaussian(IsingParams.two_field(8, 1.0, 0.5), grid)
 
 
 # ----------------------------------------------------------------------------
@@ -450,16 +440,15 @@ class TestStrongFieldMoments:
 
 class TestStrongFieldMixture:
     def test_unit_integral(self):
-        params = IsingParams.two_field(12, 3.0, 0.5)
         grid = np.linspace(-50.0, 50.0, 4001)
-        curve = strong_field_mixture(params, grid)
+        curve = strong_field_components(12, 3.0, 0.5).density_curve(grid)
         assert curve.integral() == pytest.approx(1.0, abs=1e-9)
 
     def test_agrees_with_transverse_mixture_without_longitudinal_field(self):
         N, lam = 12, 10.0
         grid = np.linspace(-(N * (lam + 1) + 10), N * (lam + 1) + 10, 4001)
-        strong = strong_field_mixture(IsingParams.two_field(N, lam, 0.0), grid)
-        tfim = tfim_multi_gaussian(IsingParams.tfim(N, lam), grid)
+        strong = strong_field_components(N, lam, 0.0).density_curve(grid)
+        tfim = tfim_mixture_components(N, lam).density_curve(grid)
         l1 = float(np.trapezoid(np.abs(strong.values - tfim.values), grid))
         assert l1 < 0.05  # measured 0.025
 
@@ -587,6 +576,13 @@ class TestSmallLambdaDeltaE:
     def test_mismatched_partner_rejected(self):
         with pytest.raises(InvalidArgs):
             small_lambda_deltaE(6, 2, 3, 1, 1.0, 0.1)
+
+    @pytest.mark.parametrize("n,m,k", [
+        (0, 6, 0), (6, 0, 0), (2, 4, 0), (2, 4, 3), (0, 6, 1), (2.0, 4, 1), (True, 5, 1),
+    ])
+    def test_non_interior_cell_rejected(self, n, m, k):
+        with pytest.raises(InvalidArgs):
+            small_lambda_deltaE(6, n, m, k, 1.0, 0.1)
 
 
 class TestSmallLambdaDeltaER:
@@ -718,17 +714,15 @@ class TestSmallLambdaMixture:
             assert comp.mu == pytest.approx(small_lambda_ER(N, lam, R), rel=1e-12)
 
     def test_unit_integral(self):
-        params = IsingParams.two_field(8, 0.3, 1.0)
         grid = np.linspace(-20.0, 12.0, 4001)
-        curve = small_lambda_mixture_integer_alpha(params, grid)
+        curve = small_lambda_components(8, 0.3).density_curve(grid)
         assert curve.integral() == pytest.approx(1.0, abs=1e-9)
 
     def test_free_point_reduces_to_class_histogram(self):
         # lambda = 0: every class is a delta spike at 2R with mass N_R/2^N.
         N = 8
-        params = IsingParams.two_field(N, 0.0, 1.0)
         grid = np.linspace(-18.0, 10.0, 2801)  # spacing 0.01, spikes on-grid
-        curve = small_lambda_mixture_integer_alpha(params, grid, corrections=False)
+        curve = small_lambda_components(N, 0.0, corrections=False).density_curve(grid)
         assert curve.integral() == pytest.approx(1.0, rel=1e-12)
         census = degeneracy_census(N, 1)
         for R, N_R in census.classes.items():
@@ -737,11 +731,9 @@ class TestSmallLambdaMixture:
             assert mass == pytest.approx(N_R / 2**N, rel=1e-9)
 
     def test_non_unit_longitudinal_field_rejected(self):
-        grid = np.linspace(-10, 10, 101)
+        # The alpha = 1 precondition lives in the CLI's kind -> mixture map.
         with pytest.raises(InvalidArgs):
-            small_lambda_mixture_integer_alpha(
-                IsingParams.two_field(8, 0.2, 0.9), grid
-            )
+            _build_mixture("multi-int-alpha", IsingParams.two_field(8, 0.2, 0.9))
 
     def test_cluster_counts_and_centers_against_dense_spectrum(self):
         N, lam = 8, 0.2
@@ -836,8 +828,8 @@ class TestGenericAlphaMixture:
         # profile: a Gaussian of width sigma at every cell energy.
         N, alpha, floor = 8, 0.9, 0.1
         grid = np.linspace(-22.0, 14.0, 3001)
-        curve = generic_alpha_mixture(
-            IsingParams.two_field(N, 0.0, alpha), grid, sigma_floor=floor
+        curve = generic_alpha_components(N, 0.0, alpha, sigma_floor=floor).density_curve(
+            grid
         )
         expect = np.zeros_like(grid)
         for n, k in cells(N, include_polarized=True):
@@ -853,9 +845,7 @@ class TestGenericAlphaMixture:
     def test_unit_integral_rational_and_irrational(self):
         grid = np.linspace(-30.0, 20.0, 6001)
         for alpha in (0.9, math.sqrt(5) - 1):
-            curve = generic_alpha_mixture(
-                IsingParams.two_field(10, 0.3, alpha), grid
-            )
+            curve = generic_alpha_components(10, 0.3, alpha).density_curve(grid)
             assert curve.integral() == pytest.approx(1.0, abs=1e-9)
 
 
