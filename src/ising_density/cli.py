@@ -100,6 +100,10 @@ def _parse_grid(ctx, param, value):
         raise click.BadParameter("grid needs HI > LO")
     if points < 2:
         raise click.BadParameter("grid needs at least 2 points")
+    if points > _DEFAULT_GRID_MAX_POINTS:
+        raise click.BadParameter(
+            f"grid needs at most {_DEFAULT_GRID_MAX_POINTS} points"
+        )
     return np.linspace(lo, hi, points)
 
 

@@ -1,4 +1,4 @@
-"""Model core: parameters, dense Hamiltonian, exact spectra and trace moments.
+"""Model core: parameters, Hamiltonian, exact spectra and trace moments.
 
 The Hamiltonian of the quantum Ising ring in transverse field lambda and
 longitudinal field alpha is
@@ -112,18 +112,21 @@ class MomentSet:
     max_order: int = field(default=4)
 
 
+def _check_cap(what: str, needed: int, max_bytes: int) -> None:
+    if needed > max_bytes:
+        raise CapExceeded(
+            f"{what} needs {needed} bytes (> cap of {max_bytes}); "
+            "raise max_bytes to override"
+        )
+
+
 def build_hamiltonian(
     params: IsingParams, max_bytes: int = DEFAULT_MAX_BYTES
 ) -> np.ndarray:
-    """Dense 2^N x 2^N Hamiltonian matrix in the sigma^z product basis."""
+    """Dense 2^N x 2^N Hamiltonian in the sigma^z basis (the small-N oracle)."""
     N = params.N
     dim = 1 << N
-    needed = dim * dim * 8
-    if needed > max_bytes:
-        raise CapExceeded(
-            f"dense Hamiltonian for N={N} needs {needed} bytes "
-            f"(> cap of {max_bytes}); raise max_bytes to override"
-        )
+    _check_cap(f"dense Hamiltonian for N={N}", dim * dim * 8, max_bytes)
     b = np.arange(dim)
     popcount = np.zeros(dim, dtype=np.int64)
     for n in range(N):
@@ -139,15 +142,72 @@ def build_hamiltonian(
     return H
 
 
+def _orbits(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For every basis state b under the cyclic shift T (bit n -> bit n+1):
+    its orbit representative a (the smallest state T^r b), the shift l with
+    b = T^l a, and the orbit's period R."""
+    dim = 1 << N
+    b = np.arange(dim, dtype=np.int64)
+    rep, shift, period = b.copy(), np.zeros(dim, np.int64), np.zeros(dim, np.int64)
+    t = b
+    for r in range(1, N + 1):
+        t = ((t << 1) | (t >> (N - 1))) & (dim - 1)
+        smaller = t < rep
+        rep[smaller] = t[smaller]
+        shift[smaller] = N - r
+        period[(period == 0) & (t == b)] = r
+    return rep, shift, period
+
+
 def exact_spectrum(
     params: IsingParams, max_bytes: int = DEFAULT_MAX_BYTES
 ) -> ManyBodySpectrum:
-    """All 2^N eigenvalues by dense symmetric diagonalization, sorted."""
-    H = build_hamiltonian(params, max_bytes=max_bytes)
-    try:
-        energies = np.linalg.eigvalsh(H)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy internal
-        raise EigensolverFailure(str(exc)) from exc
+    """All 2^N eigenvalues, sorted, by diagonalizing H in momentum blocks.
+
+    H commutes with T, so the momentum states |a(k)> ~ sum_r e^{-ikr} T^r |a>,
+    one per representative a with k R_a = 0 (mod 2 pi), block-diagonalize it.
+    A term of amplitude h taking a to T^l c adds h e^{ikl} sqrt(R_a / R_c) to
+    <c(k)|H|a(k)> (Sandvik, arXiv:1101.3281, sec. 4).  H is real, so momenta
+    k and -k share their levels and only k = 0 .. N/2 are diagonalized.
+    """
+    N = params.N
+    dim = 1 << N
+    # Orbit tables and term arrays take about 160 bytes per state; the complex
+    # k = 0 block holds every orbit, at least 2^N / N of them.
+    needed = max(160 * dim, 16 * (dim // N) ** 2)
+    _check_cap(f"diagonalizing N={N} in momentum blocks", needed, max_bytes)
+    rep, shift, period = _orbits(N)
+    reps = np.flatnonzero(rep == np.arange(dim))
+    R = period[reps]
+    masks = [(1 << n) | (1 << ((n + 1) % N)) for n in range(N)]
+    amps = [-1.0] * N
+    if params.alpha != 0.0:
+        masks += [1 << n for n in range(N)]
+        amps += [-params.alpha] * N
+    flipped = (reps[:, None] ^ np.array(masks)).ravel()
+    src = np.repeat(np.arange(len(reps)), len(masks))
+    dst = np.searchsorted(reps, rep[flipped])
+    weight = np.tile(amps, len(reps)) * np.sqrt(R[src] / R[dst])
+    angle = 2.0 * np.pi * shift[flipped] / N
+    popcount = sum((reps >> n) & 1 for n in range(N))
+    diagonal = -params.lam * (N - 2 * popcount)
+    momenta = [(k * R) % N == 0 for k in range(N // 2 + 1)]
+    largest = max(int(keep.sum()) for keep in momenta)
+    _check_cap(f"momentum block of dimension {largest}", 16 * largest**2, max_bytes)
+    levels = []
+    for k, keep in enumerate(momenta):
+        real = 2 * k % N == 0
+        pos = np.cumsum(keep) - 1
+        on = keep[src] & keep[dst]
+        values = weight[on] * np.exp(1j * k * angle[on])
+        H = np.diag(diagonal[keep].astype(float if real else complex))
+        np.add.at(H, (pos[dst[on]], pos[src[on]]), values.real if real else values)
+        try:
+            E = np.linalg.eigvalsh(H)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy internal
+            raise EigensolverFailure(str(exc)) from exc
+        levels += [E] if real else [E, E]
+    energies = np.sort(np.concatenate(levels))
     return ManyBodySpectrum(energies=energies, method="dense", params=params)
 
 

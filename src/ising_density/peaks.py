@@ -296,6 +296,8 @@ def visibility_Nmax(lam: float, alpha: float, regime: str) -> Visibility:
     order-of-magnitude statement.
     """
     lam, alpha = float(lam), float(alpha)
+    if not (math.isfinite(lam) and math.isfinite(alpha)):
+        raise InvalidArgs(f"lambda and alpha must be finite, got {lam!r} and {alpha!r}")
     canon = _normalize_regime(regime)
     if canon == "tfim-large":
         return Visibility(2.0 * lam * lam, False)

@@ -39,7 +39,7 @@ def gauss_legendre(
     prev = half * float(np.dot(w, f(mid + half * x)))
     if not np.isfinite(prev):
         raise NoConvergence(f"quadrature integrand is not finite on [{a}, {b}]")
-    while order <= _MAX_ORDER:
+    while order < _MAX_ORDER:
         order *= 2
         x, w = _leggauss(order)
         cur = half * float(np.dot(w, f(mid + half * x)))

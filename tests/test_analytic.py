@@ -22,9 +22,11 @@ from ising_density.analytic import (
     solve_saddle,
     tail_density_critical,
 )
+from ising_density import quadrature
 from ising_density.errors import (
     AtOrBelowGroundState,
     NegativeDensityWarning,
+    NoConvergence,
     OutOfSupport,
 )
 from ising_density.model import IsingParams, abscissa_scale
@@ -221,3 +223,18 @@ def test_tail_density_critical_rejects_at_or_below_ground_state() -> None:
     for E in (E_gs, E_gs - 0.5):
         with pytest.raises(AtOrBelowGroundState):
             tail_density_critical(E, N)
+
+
+def test_quadrature_gives_up_at_max_order(monkeypatch) -> None:
+    """A finite integrand that never settles stops at _MAX_ORDER, not beyond."""
+    monkeypatch.setattr(quadrature, "_MAX_ORDER", 64)
+    orders: list[int] = []
+
+    def recording_leggauss(order: int):
+        orders.append(order)
+        return np.polynomial.legendre.leggauss(order)
+
+    monkeypatch.setattr(quadrature, "_leggauss", recording_leggauss)
+    with pytest.raises(NoConvergence):
+        quadrature.gauss_legendre(lambda x: np.full_like(x, len(x)), 0.0, 1.0)
+    assert orders == [16, 32, 64]

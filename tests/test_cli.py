@@ -101,6 +101,20 @@ class TestSpectrum:
         assert payload["code"] == "InvalidArgs"
         assert payload["message"]
 
+    def test_ring_beyond_the_size_cap_is_a_compute_error(self, runner, tmp_path):
+        out = tmp_path / "x.csv"
+        result = runner.invoke(main, [
+            "spectrum", "--model", "tfim", "--n", "30", "--lambda", "1",
+            "--out", str(out),
+        ])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["code"] == "CapExceeded"
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
     def test_missing_required_option_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, [
             "spectrum", "--model", "tfim", "--lambda", "1",
@@ -277,6 +291,16 @@ class TestApprox:
         assert result.exit_code == 1
         assert json.loads(result.stderr)["code"] == code
 
+    def test_grid_point_count_is_capped(self, runner, tmp_path):
+        out = tmp_path / "x.csv"
+        result = runner.invoke(main, [
+            "approx", "--kind", "gaussian", "--n", "8", "--lambda", "1",
+            "--grid", "0:1:10000000000", "--out", str(out),
+        ])
+        assert result.exit_code == 2
+        assert "200001" in result.stderr
+        assert not out.exists()
+
     def test_rerun_is_byte_identical(self, runner, tmp_path):
         out = tmp_path / "again.csv"
         args = [
@@ -440,3 +464,15 @@ class TestVisibility:
         ])
         assert result.exit_code == 1
         assert json.loads(result.stderr)["code"] == "InvalidRegime"
+
+    @pytest.mark.parametrize("args", [
+        ["--regime", "strong-fields", "--lambda", "nan", "--alpha", "1"],
+        ["--regime", "tfim-large", "--lambda", "inf"],
+    ])
+    def test_non_finite_couplings_are_compute_errors(self, runner, args):
+        result = runner.invoke(main, ["visibility", *args])
+        assert result.exit_code == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["code"] == "InvalidArgs"
+        assert result.stdout == ""

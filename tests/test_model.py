@@ -136,6 +136,40 @@ def test_cap_exceeded() -> None:
         exact_spectrum(IsingParams.tfim(8, 1.0), max_bytes=1000)
 
 
+@pytest.mark.parametrize("N", range(2, 11))
+@pytest.mark.parametrize(
+    "model,lam,alpha",
+    [
+        ("tfim", 0.7, 0.0),
+        ("tfim", 0.0, 0.0),
+        ("tfim", -1.3, 0.0),
+        ("two-field", 0.6, 0.9),
+        ("two-field", 0.0, 1.0),
+        ("two-field", 1.2, 0.0),
+        ("two-field", -0.4, -1.1),
+    ],
+)
+def test_momentum_blocks_match_dense_oracle(
+    N: int, model: str, lam: float, alpha: float
+) -> None:
+    params = IsingParams(N=N, lam=lam, alpha=alpha, model=model)
+    expected = np.linalg.eigvalsh(build_hamiltonian(params))
+    energies = exact_spectrum(params).energies
+    assert len(energies) == 2**N
+    np.testing.assert_allclose(energies, expected, rtol=0.0, atol=1e-11)
+
+
+def test_momentum_blocks_thirteen_sites_complete_with_bulk_moments() -> None:
+    params = IsingParams.two_field(13, 0.8, 0.6)
+    spec = exact_spectrum(params)
+    assert len(spec.energies) == 2**13
+    numeric, formula = numeric_moments(spec), analytic_moments(params)
+    assert abs(numeric.m1) < 1e-10 * formula.m2**0.5
+    for name in ("m2", "m3", "m4"):
+        expected = getattr(formula, name)
+        assert getattr(numeric, name) == pytest.approx(expected, rel=1e-10)
+
+
 def test_numeric_moments_three_site() -> None:
     spec = exact_spectrum(IsingParams.tfim(3, 0.0))
     mom = numeric_moments(spec)
