@@ -172,9 +172,10 @@ def exact_spectrum(
     """
     N = params.N
     dim = 1 << N
-    # Orbit tables and term arrays take about 160 bytes per state; the complex
+    # Orbit tables and term arrays take about 160 bytes per state.  A complex
+    # block is held twice during its solve (eigvalsh works on a copy), and the
     # k = 0 block holds every orbit, at least 2^N / N of them.
-    needed = max(160 * dim, 16 * (dim // N) ** 2)
+    needed = max(160 * dim, 32 * (dim // N) ** 2)
     _check_cap(f"diagonalizing N={N} in momentum blocks", needed, max_bytes)
     rep, shift, period = _orbits(N)
     reps = np.flatnonzero(rep == np.arange(dim))
@@ -193,7 +194,7 @@ def exact_spectrum(
     diagonal = -params.lam * (N - 2 * popcount)
     momenta = [(k * R) % N == 0 for k in range(N // 2 + 1)]
     largest = max(int(keep.sum()) for keep in momenta)
-    _check_cap(f"momentum block of dimension {largest}", 16 * largest**2, max_bytes)
+    _check_cap(f"momentum block of dimension {largest}", 32 * largest**2, max_bytes)
     levels = []
     for k, keep in enumerate(momenta):
         real = 2 * k % N == 0

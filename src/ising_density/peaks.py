@@ -373,12 +373,20 @@ def _require_class(N: int, R: int) -> dict:
     return classes
 
 
-def _class_cells(N: int, R: int, interior_only: bool = False) -> list[tuple[int, int]]:
-    return [
-        (n, k)
-        for n, k in cells(N, include_polarized=not interior_only)
-        if 2 * k - n == R
-    ]
+@lru_cache(maxsize=64)
+def _unit_alpha_cells(N: int) -> dict[int, tuple[tuple[int, int], ...]]:
+    """The (n, k) cells of each class R = 2k - n, in ``cells(N)`` order."""
+    by_class: dict[int, list[tuple[int, int]]] = {}
+    for n, k in cells(N):
+        by_class.setdefault(2 * k - n, []).append((n, k))
+    return {R: tuple(members) for R, members in by_class.items()}
+
+
+def _class_cells(
+    N: int, R: int, interior_only: bool = False
+) -> tuple[tuple[int, int], ...]:
+    members = _unit_alpha_cells(N).get(R, ())
+    return tuple(c for c in members if c[1] > 0) if interior_only else members
 
 
 def small_lambda_ER(N: int, lam: float, R: int) -> float:

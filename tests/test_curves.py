@@ -4,14 +4,24 @@ from __future__ import annotations
 
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import find_peaks
 
+import ising_density
 from ising_density.curves import (
+    PEAK_PROMINENCE_FRACTION,
     ComparisonReport,
     DensityCurve,
     compare,
+    curve_peaks,
     histogram,
     kernel_density,
     read_curve_csv,
@@ -19,7 +29,12 @@ from ising_density.curves import (
     write_curve_csv,
 )
 from ising_density.errors import DisjointSupports, EmptySpectrum, InvalidArgs
+from ising_density.fermion import enumerate_spectrum
 from ising_density.model import IsingParams, ManyBodySpectrum, exact_spectrum
+
+# kernel_density's documented bound, in units of the kernel peak K(0):
+# linear binning (1e-6) plus the kernel beyond the +-9h window.
+KDE_BOUND = 1e-6 + math.exp(-81.0 / 2.0)
 
 
 def make_spectrum(values: list[float], N: int = 2) -> ManyBodySpectrum:
@@ -91,6 +106,57 @@ def test_kernel_density_unit_integral() -> None:
     spec = exact_spectrum(IsingParams.tfim(8, 0.5))
     curve = kernel_density(spec, bandwidth=0.1)
     assert curve.integral() == pytest.approx(1.0, abs=1e-9)
+
+
+def pairwise_kde(energies: np.ndarray, bandwidth: float, grid: np.ndarray) -> np.ndarray:
+    """The exact sum over every (level, grid point) pair."""
+    total = np.zeros_like(grid)
+    for start in range(0, len(energies), 512):
+        z = (grid[:, None] - energies[None, start : start + 512]) / bandwidth
+        total += np.exp(-0.5 * z * z).sum(axis=1)
+    return total / (len(energies) * bandwidth * math.sqrt(2.0 * math.pi))
+
+
+def assert_within_kde_bound(curve: DensityCurve, spec: ManyBodySpectrum, h: float) -> None:
+    exact = pairwise_kde(spec.energies, h, curve.grid)
+    peak = 1.0 / (h * math.sqrt(2.0 * math.pi))
+    assert np.max(np.abs(curve.values - exact)) <= KDE_BOUND * peak
+
+
+@pytest.mark.parametrize("N, lam", [(12, 0.6), (16, 1.3)])
+@pytest.mark.parametrize("h", [0.05, 0.4, 3.0])
+def test_kernel_density_fermion_spectrum_within_bound(N: int, lam: float, h: float) -> None:
+    spec = enumerate_spectrum(N, lam)
+    curve = kernel_density(spec, bandwidth=h)
+    assert_within_kde_bound(curve, spec, h)
+    assert curve.integral() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_kernel_density_bandwidth_narrower_than_grid() -> None:
+    energies = np.sort(np.random.default_rng(5).uniform(-10.0, 10.0, 10**4))
+    spec = make_spectrum(list(energies))
+    # The grid spans max - min + 16h with 1000 steps: each step is 50h.
+    h = float(energies[-1] - energies[0]) / (50 * 1000 - 16)
+    curve = kernel_density(spec, bandwidth=h)
+    assert curve.grid[1] - curve.grid[0] == pytest.approx(50 * h, rel=1e-9)
+    assert_within_kde_bound(curve, spec, h)
+    # With the grid 50 bandwidths apart, the trapezoid rule samples each
+    # kernel at about one node, so the integral is 1 only on average over the
+    # levels: its spread is about 3.7 / sqrt(levels) = 0.04 here.
+    assert curve.integral() == pytest.approx(1.0, abs=0.15)
+
+
+def test_kernel_density_huge_bandwidth() -> None:
+    spec = make_spectrum([-1.0, 0.5, 2.0])
+    curve = kernel_density(spec, bandwidth=1e300)
+    assert_within_kde_bound(curve, spec, 1e300)
+    assert curve.integral() == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("h", [5e-324, 1e-310, math.inf, math.nan])
+def test_kernel_density_rejects_unrepresentable_bandwidth(h: float) -> None:
+    with pytest.raises(InvalidArgs):
+        kernel_density(make_spectrum([0.0, 1.0]), bandwidth=h)
 
 
 def test_kernel_density_validation() -> None:
@@ -183,6 +249,54 @@ def test_compare_prominence_filter_ignores_noise() -> None:
     noisy = main + 1e-4 * np.sin(40 * grid) ** 2
     report = compare(DensityCurve(grid, main), DensityCurve(grid, noisy))
     assert len(report.peak_positions) == 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from([0.0, 0.0, 1.0, 2.0, 3.0, 99.0, 100.0]),
+            st.floats(0.0, 100.0),
+        ),
+        min_size=2,
+        max_size=40,
+    )
+)
+def test_curve_peaks_follow_scipy_find_peaks(values: list[float]) -> None:
+    x = np.array(values)
+    curve = DensityCurve(np.arange(len(x), dtype=float), x)
+    top = float(x.max())
+    expected = (
+        find_peaks(x, prominence=PEAK_PROMINENCE_FRACTION * top)[0] if top > 0 else []
+    )
+    np.testing.assert_array_equal(curve_peaks(curve), np.asarray(expected, dtype=float))
+
+
+def test_compare_curves_cli_does_not_import_scipy(tmp_path) -> None:
+    grid = np.linspace(-3.0, 3.0, 61)
+    for name, shift in (("a.csv", 0.0), ("b.csv", 0.2)):
+        write_curve_csv(
+            DensityCurve(grid, np.exp(-((grid - shift) ** 2))), str(tmp_path / name)
+        )
+    script = (
+        "import sys\n"
+        "from ising_density.cli import main\n"
+        "main(args=['compare', '--a', 'a.csv', '--b', 'b.csv', '--out', 'r.json'],"
+        " standalone_mode=False)\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    package_root = str(Path(ising_density.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+    assert (tmp_path / "r.json").exists()
 
 
 def test_resample_mass_preserving_on_refining_grid() -> None:

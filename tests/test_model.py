@@ -136,6 +136,16 @@ def test_cap_exceeded() -> None:
         exact_spectrum(IsingParams.tfim(8, 1.0), max_bytes=1000)
 
 
+def test_cap_counts_the_solver_copy_of_the_largest_block() -> None:
+    # At N = 12 the largest block is k = 0, one row per orbit: 352 of them.
+    # eigvalsh works on a copy, so the solve holds the block twice.
+    params = IsingParams.tfim(12, 1.0)
+    one_copy = 16 * 352**2
+    with pytest.raises(CapExceeded):
+        exact_spectrum(params, max_bytes=3 * one_copy // 2)
+    assert len(exact_spectrum(params, max_bytes=2 * one_copy).energies) == 2**12
+
+
 @pytest.mark.parametrize("N", range(2, 11))
 @pytest.mark.parametrize(
     "model,lam,alpha",
