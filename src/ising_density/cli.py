@@ -253,12 +253,10 @@ def _analytic_values(kind: str, params: IsingParams, e_grid: np.ndarray) -> np.n
         scale = abscissa_scale(params, "eps")
         return gaussian_density_two_fields(e_grid, params, clamp=True) / scale
     if kind == "saddle":
-        return np.array(
-            [saddle_density_extensive(float(E), params) for E in e_grid]
-        )
+        return saddle_density_extensive(e_grid, params)
     if params.model != "tfim" or params.lam != 1.0:
         raise InvalidArgs("the tail formula is specific to tfim at lambda = 1")
-    return np.array([tail_density_critical(float(E), params.N) for E in e_grid])
+    return tail_density_critical(e_grid, params.N)
 
 
 @main.command()

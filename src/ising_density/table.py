@@ -3,7 +3,8 @@
 A table is a block of ``# key = value`` metadata lines, one header line of
 comma-separated column names and one line per row.  Cells are written with
 ``%s``, so floats come out in shortest round-trip form and reruns are
-byte-identical.  Reading streams the file and keeps each row only as floats.
+byte-identical.  Writing formats and writes 65,536 rows at a time, and
+reading streams the file and keeps each row only as floats.
 
 Two kinds of table are read back: eigenvalue spectra (header
 ``index,energy``) and density curves (header ``abscissa,density``).
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 from array import array
 from contextlib import contextmanager
+from itertools import islice
 from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -21,6 +23,7 @@ from .errors import InvalidArgs
 
 SPECTRUM_HEADER = "index,energy"
 CURVE_HEADER = "abscissa,density"
+_WRITE_CHUNK = 65_536
 
 
 class Table(NamedTuple):
@@ -57,17 +60,22 @@ def write_table(
     header: str,
     rows: Iterable[tuple],
 ) -> None:
-    """Write metadata lines, the header and one line per row tuple."""
+    """Write metadata lines, the header and one line per row tuple.
+
+    Rows are formatted and written _WRITE_CHUNK at a time, so memory does
+    not grow with the table.
+    """
+    if isinstance(destination, str):
+        with open_text(destination, "w") as handle:
+            return write_table(handle, metadata, header, rows)
     template = ",".join(["%s"] * (header.count(",") + 1))
     lines = [f"# {key} = {value}" for key, value in metadata.items()]
     lines.append(header)
-    lines.extend(template % row for row in rows)
-    text = "\n".join(lines) + "\n"
-    if isinstance(destination, str):
-        with open_text(destination, "w") as handle:
-            handle.write(text)
-    else:
-        destination.write(text)
+    destination.write("\n".join(lines) + "\n")
+    rows = iter(rows)
+    while chunk := [template % row for row in islice(rows, _WRITE_CHUNK)]:
+        chunk.append("")
+        destination.write("\n".join(chunk))
 
 
 def read_table(source: str | IO[str]) -> Table:

@@ -9,16 +9,20 @@ not reuse the implementation's arithmetic.
 from __future__ import annotations
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from ising_density import analytic
 from ising_density.analytic import (
     gaussian_density_tfim,
     gaussian_density_two_fields,
     ground_state_energy_per_spin,
     saddle_density,
+    saddle_density_extensive,
     solve_saddle,
     tail_density_critical,
 )
@@ -121,6 +125,73 @@ def test_saddle_density_unit_integral(lam: float) -> None:
     assert np.trapezoid(values, grid) == pytest.approx(1.0, abs=0.005)
 
 
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+def test_saddle_grid_matches_one_point_solves(lam: float) -> None:
+    """The grid solve picks one rule order for all points, the one-point solve
+    its own; both stay within the stated bound of each other."""
+    N = 16
+    e_gs = ground_state_energy_per_spin(lam)
+    grid = np.linspace(0.995 * e_gs, -0.995 * e_gs, 41)
+    values = saddle_density_extensive(grid * N, IsingParams.tfim(N, lam))
+    expected = []
+    for e in grid:
+        sol = solve_saddle(float(e), lam, N=N)
+        expected.append(sol.prefactor * math.exp(N * sol.entropy) / N)
+    np.testing.assert_allclose(values, expected, rtol=1e-13, atol=0)
+    assert isinstance(saddle_density_extensive(0.5, IsingParams.tfim(N, lam)), float)
+
+
+@pytest.mark.parametrize("lam", [0.5, 2.0])
+def test_saddle_next_to_a_gapped_band_edge(lam: float) -> None:
+    """There d beta / d e is so large that Newton steps stay above 1e-13
+    relative; the solve stops at the residual's rounding floor instead."""
+    e_gs = ground_state_energy_per_spin(lam)
+    for e in (0.99999 * e_gs, -0.99999 * e_gs):
+        sol = solve_saddle(e, lam, N=16)
+        assert abs(quad_rhs(sol.beta_sp, lam) - e) <= 1e-10
+        assert math.isfinite(sol.prefactor) and sol.prefactor > 0.0
+
+
+def test_saddle_grid_with_a_point_beyond_the_band_edge() -> None:
+    e_gs = ground_state_energy_per_spin(1.0)
+    grid = np.linspace(-1.0, 1.0, 9)
+    grid[5] = -1.01 * e_gs
+    grid[7] = -1.02 * e_gs
+    with pytest.raises(OutOfSupport, match=re.escape(f"got e={float(grid[5])!r}") + "$"):
+        saddle_density(grid, IsingParams.tfim(16, 1.0))
+
+
+def test_saddle_grid_is_solved_in_chunks() -> None:
+    """Unchunked, one (points x nodes) temporary of this grid would take
+    more than 100 MB."""
+    grid = np.linspace(-0.7, 0.7, 200_001)
+    tracemalloc.start()
+    try:
+        values = saddle_density(grid, IsingParams.tfim(16, 1.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert values[100_000] == pytest.approx(math.sqrt(16 / (4 * math.pi)), rel=1e-12)
+    np.testing.assert_allclose(values, values[::-1], rtol=1e-12)
+
+
+def test_saddle_grid_gives_up_at_max_order(monkeypatch) -> None:
+    """Near the critical band edge the rule must reach order 128."""
+    monkeypatch.setattr(analytic, "_MAX_ORDER", 32)
+    orders: list[int] = []
+
+    def recording_leggauss(order: int):
+        orders.append(order)
+        return np.polynomial.legendre.leggauss(order)
+
+    monkeypatch.setattr(analytic, "_leggauss", recording_leggauss)
+    e_gs = ground_state_energy_per_spin(1.0)
+    with pytest.raises(NoConvergence):
+        saddle_density(np.array([0.0, 0.999 * e_gs]), IsingParams.tfim(16, 1.0))
+    assert orders == [16, 32]
+
+
 def test_gaussian_density_tfim_values() -> None:
     assert gaussian_density_tfim(0.0, IsingParams.tfim(16, 1.0)) == pytest.approx(
         1.1283791670955126, rel=1e-12
@@ -198,6 +269,25 @@ def test_tail_density_critical_closed_form() -> None:
         * math.exp(math.sqrt(math.pi * N * x / 6))
     )
     assert tail_density_critical(E_gs + x, N) == pytest.approx(expected, rel=1e-12)
+
+
+def test_tail_density_critical_on_an_array() -> None:
+    N = 16
+    E_gs = N * ground_state_energy_per_spin(1.0)
+    gaps = np.array([0.25, 1.0, 2.5, 4.0])
+    expected = [
+        2.0**-N
+        * x**-0.75
+        / math.sqrt(8 * math.sqrt(6 * math.pi) * N)
+        * math.exp(math.sqrt(math.pi * N * x / 6))
+        for x in gaps
+    ]
+    np.testing.assert_allclose(
+        tail_density_critical(E_gs + gaps, N), expected, rtol=1e-14, atol=0
+    )
+    energies = E_gs + np.array([1.0, -1.0, 0.0])
+    with pytest.raises(AtOrBelowGroundState, match=re.escape(f"got E={float(energies[1])!r}") + "$"):
+        tail_density_critical(energies, N)
 
 
 def test_tail_density_critical_stretched_exponential_doubling() -> None:

@@ -278,7 +278,6 @@ class TestApprox:
 
     @pytest.mark.parametrize("kind,lam,code", [
         ("saddle", "1e300", "NoConvergence"),
-        ("saddle", "1e20", "ZeroDivisionError"),
         ("multi-strong", "1e100", "OverflowError"),
     ])
     def test_extreme_couplings_are_compute_errors(
@@ -290,6 +289,34 @@ class TestApprox:
         ])
         assert result.exit_code == 1
         assert json.loads(result.stderr)["code"] == code
+
+    def test_saddle_at_huge_lambda_is_the_gaussian(self, runner, tmp_path):
+        # beta_sp ~ e / (1 + lambda^2) is far below any fixed absolute
+        # tolerance in beta; the density is the Gaussian closed form.
+        out = tmp_path / "x.csv"
+        run_ok(runner, [
+            "approx", "--kind", "saddle", "--n", "8", "--lambda", "1e20",
+            "--grid", "-0.5:0.5:5", "--per-spin", "--out", str(out),
+        ])
+        curve, _ = read_curve_csv(str(out))
+        expected = math.sqrt(8 / (2 * math.pi * (1 + 1e40)))
+        np.testing.assert_allclose(curve.values, expected, rtol=1e-9, atol=0)
+
+    def test_saddle_grid_beyond_the_band_edge_is_a_compute_error(
+        self, runner, tmp_path
+    ):
+        out = tmp_path / "x.csv"
+        result = runner.invoke(main, [
+            "approx", "--kind", "saddle", "--n", "16", "--lambda", "1",
+            "--grid", "-1:1.3:24", "--per-spin", "--out", str(out),
+        ])
+        assert result.exit_code == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["code"] == "OutOfSupport"
+        assert error["message"].endswith("got e=1.3")
+        assert not out.exists()
 
     def test_grid_point_count_is_capped(self, runner, tmp_path):
         out = tmp_path / "x.csv"

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 import ising_density
+from ising_density import table
 from ising_density.curves import (
     PEAK_PROMINENCE_FRACTION,
     ComparisonReport,
@@ -334,3 +335,15 @@ def test_comparison_report_json_round_trip() -> None:
     assert rebuilt.l1 == report.l1
     assert rebuilt.sup == report.sup
     assert rebuilt.grids_aligned == report.grids_aligned
+
+
+@pytest.mark.parametrize("count", [0, 1, 8, 11])
+def test_write_table_in_chunks_matches_one_string(monkeypatch, count) -> None:
+    """Rows written four at a time give the bytes of the whole table joined
+    into one string, also when the last chunk is full or empty."""
+    monkeypatch.setattr(table, "_WRITE_CHUNK", 4)
+    rows = [(i, 0.1 * i) for i in range(count)]
+    buffer = io.StringIO()
+    table.write_table(buffer, {"n": 3}, "index,energy", rows)
+    lines = ["# n = 3", "index,energy", *(f"{i},{x!r}" for i, x in rows)]
+    assert buffer.getvalue() == "\n".join(lines) + "\n"
