@@ -234,12 +234,11 @@ def _build_mixture(kind: str, params: IsingParams) -> GaussianMixture:
 
 def _default_energy_grid(mixture: GaussianMixture) -> np.ndarray:
     """Span all components with margin, spaced to resolve the narrowest peak."""
-    mus = [c.mu for c in mixture.components]
-    sigmas = [math.sqrt(c.var) for c in mixture.components if c.var > 0.0]
-    widest = max(sigmas, default=1.0)
-    narrowest = min(sigmas, default=1.0)
-    lo = min(mus) - 8.0 * widest - 1.0
-    hi = max(mus) + 8.0 * widest + 1.0
+    sigmas = np.sqrt(mixture.var[mixture.var > 0.0])
+    widest = float(sigmas.max()) if sigmas.size else 1.0
+    narrowest = float(sigmas.min()) if sigmas.size else 1.0
+    lo = float(mixture.mu.min()) - 8.0 * widest - 1.0
+    hi = float(mixture.mu.max()) + 8.0 * widest + 1.0
     span = hi - lo
     step = min(narrowest / 4.0, span / 2000.0)
     points = min(int(math.ceil(span / step)) + 1, _DEFAULT_GRID_MAX_POINTS)
@@ -301,7 +300,7 @@ def approx(kind, model, n, lam, alpha, grid, per_spin, rescaled, out) -> None:
             raise click.UsageError(f"--grid is required for kind '{kind}'")
         e_grid = grid * abscissa_scale(params, target)
         values = _analytic_values(kind, params, e_grid)
-        curve = DensityCurve(e_grid, values, abscissa="E", norm="unit")
+        curve = DensityCurve(e_grid, values, abscissa="E")
     if target != "E":
         curve = curve.with_abscissa(target, params)
     write_curve_csv(curve, out, metadata)

@@ -1,10 +1,11 @@
 """Empirical density curves, kernel smoothing, and curve comparison.
 
 A DensityCurve is a sampled density: ascending abscissae, nonnegative
-values, an abscissa flag (absolute energy "E", per-spin "e", rescaled
-"eps") and a normalization tag.  Histograms built with the default range
-are padded by one empty bin on each side, which makes the trapezoidal
-integral of the piecewise-linear curve exactly equal to the bin-mass sum.
+values normalized to unit total mass (the ``# norm = unit`` line of a
+curve CSV), and an abscissa flag (absolute energy "E", per-spin "e",
+rescaled "eps").  Histograms built with the default range are padded by
+one empty bin on each side, which makes the trapezoidal integral of the
+piecewise-linear curve exactly equal to the bin-mass sum.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import numpy as np
 from .errors import DisjointSupports, EmptySpectrum, InvalidArgs
 from .model import ABSCISSAE, IsingParams, ManyBodySpectrum, abscissa_scale
 from .table import CURVE_HEADER, Table, read_table, write_table
-
-_NORMS = ("unit", "counts")
 
 MAX_DEFAULT_BINS = 400
 PEAK_PROMINENCE_FRACTION = 0.01
@@ -38,7 +37,6 @@ class DensityCurve:
     grid: np.ndarray
     values: np.ndarray
     abscissa: str = "E"
-    norm: str = "unit"
 
     def __post_init__(self) -> None:
         grid = np.asarray(self.grid, dtype=float)
@@ -54,8 +52,6 @@ class DensityCurve:
         values = np.maximum(values, 0.0)
         if self.abscissa not in ABSCISSAE:
             raise InvalidArgs(f"abscissa must be one of {ABSCISSAE}")
-        if self.norm not in _NORMS:
-            raise InvalidArgs(f"norm must be one of {_NORMS}")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
 
@@ -70,7 +66,6 @@ class DensityCurve:
             grid=self.grid * factor,
             values=self.values / factor,
             abscissa=target,
-            norm=self.norm,
         )
 
 
@@ -207,7 +202,7 @@ def resample(curve: DensityCurve, grid: Iterable[float]) -> DensityCurve:
     """Linear-interpolation resampling; zero outside the original range."""
     new_grid = np.asarray(list(grid), dtype=float)
     values = np.interp(new_grid, curve.grid, curve.values, left=0.0, right=0.0)
-    return DensityCurve(new_grid, values, abscissa=curve.abscissa, norm=curve.norm)
+    return DensityCurve(new_grid, values, abscissa=curve.abscissa)
 
 
 @dataclass(frozen=True)
@@ -333,7 +328,7 @@ def write_curve_csv(
     curve: DensityCurve, destination: str | IO[str], metadata: dict | None = None
 ) -> None:
     """Write a curve as CSV with `# key = value` metadata comment lines."""
-    metadata = {**(metadata or {}), "abscissa": curve.abscissa, "norm": curve.norm}
+    metadata = {**(metadata or {}), "abscissa": curve.abscissa, "norm": "unit"}
     rows = zip(map(float, curve.grid), map(float, curve.values))
     write_table(destination, metadata, CURVE_HEADER, rows)
 
@@ -354,4 +349,8 @@ def read_curve_csv(source: str | IO[str] | Table) -> tuple[DensityCurve, dict]:
     metadata = dict(table.metadata)
     abscissa = metadata.pop("abscissa", "E")
     norm = metadata.pop("norm", "unit")
-    return DensityCurve(grid, values, abscissa=abscissa, norm=norm), metadata
+    if norm != "unit":
+        raise InvalidArgs(
+            f"{table.source} is not a unit-normalized curve (norm = {norm!r})"
+        )
+    return DensityCurve(grid, values, abscissa=abscissa), metadata

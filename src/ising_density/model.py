@@ -221,7 +221,8 @@ def numeric_moments(spectrum: ManyBodySpectrum, max_order: int = 4) -> MomentSet
         raise InvalidArgs(
             f"spectrum incomplete: {len(E)} energies for N={spectrum.params.N}"
         )
-    values = {f"m{k}": float(np.mean(E**k)) for k in range(1, max_order + 1)}
+    with np.errstate(over="raise", invalid="raise"):  # overflow is an error
+        values = {f"m{k}": float(np.mean(E**k)) for k in range(1, max_order + 1)}
     return MomentSet(max_order=max_order, **values)
 
 

@@ -26,10 +26,10 @@ to which ring size the cluster structure remains resolved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, NamedTuple
+from collections import defaultdict
+from dataclasses import dataclass, field
+from functools import lru_cache, partial
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .blocks import (
     count_Na,
     count_Nb,
     count_Nc,
-    degeneracy_census,
+    degeneracy_census,  # noqa: F401  (bench/tracer.py wraps it here)
     f_count,
 )
 from .curves import DensityCurve
@@ -93,44 +93,55 @@ class MixtureComponent(NamedTuple):
     var: float
 
 
-def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
-    tw = np.empty_like(grid)
-    tw[0] = 0.5 * (grid[1] - grid[0])
-    tw[-1] = 0.5 * (grid[-1] - grid[-2])
-    tw[1:-1] = 0.5 * (grid[2:] - grid[:-2])
-    return tw
+def _require_all(values: np.ndarray, ok: np.ndarray, rule: str) -> None:
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise InvalidArgs(f"component {rule}, got {float(values[bad[0]])!r}")
+
+
+def _exact_shares(counts: Iterable[int], total: int) -> np.ndarray:
+    """Each ``count / total`` divided as Python ints, so it is correctly rounded
+    even where the counts and the total lie beyond float range."""
+    return np.array([count / total for count in counts], dtype=float)
 
 
 @dataclass(frozen=True)
 class GaussianMixture:
     """A convex combination of Gaussian peaks.
 
-    Zero-variance components are delta spikes; when sampled onto a grid
-    their mass is deposited on the nearest grid node, scaled by the inverse
-    trapezoid weight of that node so the sampled curve integrates to the
-    spike's weight exactly.
+    Built from ``(w, mu, var)`` triples or a ``(components, 3)`` array; the
+    weights, centers and variances are kept as the read-only float arrays
+    ``w``, ``mu`` and ``var`` and as the tuple ``components``.  Zero-variance
+    components are delta spikes; when sampled onto a grid their mass is
+    deposited on the nearest grid node, scaled by the inverse trapezoid
+    weight of that node so the sampled curve integrates to the spike's
+    weight exactly.
     """
 
     components: tuple[MixtureComponent, ...]
+    w: np.ndarray = field(init=False, repr=False, compare=False)
+    mu: np.ndarray = field(init=False, repr=False, compare=False)
+    var: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        comps = tuple(
-            MixtureComponent(float(w), float(mu), float(var))
-            for w, mu, var in self.components
-        )
-        if not comps:
+        table = np.array(self.components, dtype=float)
+        if table.size == 0:
             raise InvalidArgs("a mixture needs at least one component")
-        total = 0.0
-        for comp in comps:
-            if not comp.w >= 0.0:
-                raise InvalidArgs(f"component weight must be >= 0, got {comp.w!r}")
-            if not comp.var >= 0.0:
-                raise InvalidArgs(f"component variance must be >= 0, got {comp.var!r}")
-            if not math.isfinite(comp.mu):
-                raise InvalidArgs(f"component center must be finite, got {comp.mu!r}")
-            total += comp.w
+        if table.ndim != 2 or table.shape[1] != 3:
+            raise InvalidArgs("mixture components must be (w, mu, var) triples")
+        w, mu, var = table.T
+        _require_all(w, np.isfinite(w), "weight must be finite")
+        _require_all(w, w >= 0.0, "weight must be >= 0")
+        _require_all(var, np.isfinite(var), "variance must be finite")
+        _require_all(var, var >= 0.0, "variance must be >= 0")
+        _require_all(mu, np.isfinite(mu), "center must be finite")
+        total = math.fsum(w)
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise InvalidArgs(f"component weights must sum to 1, got {total!r}")
+        table.flags.writeable = False
+        for name, column in zip(("w", "mu", "var"), table.T):
+            object.__setattr__(self, name, column)
+        comps = tuple(map(MixtureComponent._make, table.tolist()))
         object.__setattr__(self, "components", comps)
 
     def density_curve(self, grid: Iterable[float], abscissa: str = "E") -> DensityCurve:
@@ -138,42 +149,33 @@ class GaussianMixture:
         if grid.ndim != 1 or len(grid) < 2:
             raise InvalidArgs("grid must be a 1-D array with at least two points")
         values = np.zeros_like(grid)
-        spikes = []
-        for w, mu, var in self.components:
-            if var > 0.0:
-                values += (
-                    w
-                    * np.exp(-((grid - mu) ** 2) / (2.0 * var))
-                    / math.sqrt(2.0 * math.pi * var)
-                )
-            elif w > 0.0:
-                spikes.append((w, mu))
-        if spikes:
-            tw = _trapezoid_weights(grid)
-            for w, mu in spikes:
-                if mu < grid[0] or mu > grid[-1]:
-                    continue  # off-grid spikes carry no representable mass
-                i = int(np.argmin(np.abs(grid - mu)))
-                values[i] += w / tw[i]
-        return DensityCurve(grid=grid, values=values, abscissa=abscissa, norm="unit")
+        wide = self.var > 0.0
+        for w, mu, var in zip(*(a[wide].tolist() for a in (self.w, self.mu, self.var))):
+            values += (
+                w
+                * np.exp(-((grid - mu) ** 2) / (2.0 * var))
+                / math.sqrt(2.0 * math.pi * var)
+            )
+        # Off-grid spikes carry no representable mass.
+        spikes = ~wide & (self.w > 0.0) & (self.mu >= grid[0]) & (self.mu <= grid[-1])
+        if spikes.any():
+            mu = self.mu[spikes]
+            i = np.clip(np.searchsorted(grid, mu), 1, len(grid) - 1)
+            i -= np.abs(grid[i - 1] - mu) <= np.abs(grid[i] - mu)  # lower on a tie
+            trapezoid = np.gradient(grid)
+            trapezoid[[0, -1]] *= 0.5
+            np.add.at(values, i, self.w[spikes] / trapezoid[i])
+        return DensityCurve(grid=grid, values=values, abscissa=abscissa)
 
     def to_json_dict(self) -> dict:
-        return {
-            "components": [
-                {"w": c.w, "mu": c.mu, "var": c.var} for c in self.components
-            ]
-        }
+        return {"components": [c._asdict() for c in self.components]}
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "GaussianMixture":
         try:
-            comps = tuple(
-                MixtureComponent(float(c["w"]), float(c["mu"]), float(c["var"]))
-                for c in payload["components"]
-            )
+            return cls([(c["w"], c["mu"], c["var"]) for c in payload["components"]])
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidArgs(f"malformed mixture payload: {exc}") from exc
-        return cls(comps)
 
 
 class Visibility(NamedTuple):
@@ -222,6 +224,17 @@ def _require_occupation(N: int, n: int) -> None:
         raise InvalidArgs(f"occupation n must satisfy 0 <= n <= N, got n={n}, N={N}")
 
 
+# Overflowing couplings give non-finite moments, which GaussianMixture rejects.
+@np.errstate(over="ignore", invalid="ignore")
+def _tfim_moments(N: int, lam: float, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    es = one_particle_energy(lam, momentum_grid(N, "even"))
+    e1 = float(np.sum(es)) / (2 * N)
+    e2 = float(np.sum(es * es)) / (4 * N)
+    mean = (N - 2 * n) * e1
+    var = 4.0 * n * (N - n) / (N - 1) * (e2 - e1 * e1)
+    return mean, np.where(var < 0.0, 0.0, var)
+
+
 def tfim_fixed_n_moments(N: int, lam: float, n: int) -> tuple[float, float]:
     """Mean and variance of the n-occupation cluster at transverse coupling lam.
 
@@ -231,14 +244,9 @@ def tfim_fixed_n_moments(N: int, lam: float, n: int) -> tuple[float, float]:
     without-replacement sampling variance
     ``4 n (N - n) / (N - 1) * (<e^2> - <e>^2)``.
     """
-    phis = momentum_grid(N, "even")
     _require_occupation(N, n)
-    es = one_particle_energy(float(lam), phis)
-    e1 = float(np.sum(es)) / (2 * N)
-    e2 = float(np.sum(es * es)) / (4 * N)
-    mean = (N - 2 * n) * e1
-    var = 4.0 * n * (N - n) / (N - 1) * (e2 - e1 * e1)
-    return mean, max(var, 0.0)
+    mean, var = _tfim_moments(N, float(lam), np.array([n]))
+    return float(mean[0]), float(var[0])
 
 
 def tfim_mixture_components(N: int, lam: float) -> GaussianMixture:
@@ -250,13 +258,12 @@ def tfim_mixture_components(N: int, lam: float) -> GaussianMixture:
     the all-occupation branch.)
     """
     lam = float(lam)
-    occupations = range(0, N + 1) if abs(lam) >= 1.0 else range(0, N + 1, 2)
-    scale = 2**N if abs(lam) >= 1.0 else 2 ** (N - 1)
-    comps = []
-    for n in occupations:
-        mean, var = tfim_fixed_n_moments(N, lam, n)
-        comps.append(MixtureComponent(math.comb(N, n) / scale, mean, var))
-    return GaussianMixture(tuple(comps))
+    step = 1 if abs(lam) >= 1.0 else 2
+    n = np.arange(0, N + 1, step)
+    mean, var = _tfim_moments(N, lam, n)
+    scale = 2**N if step == 1 else 2 ** (N - 1)
+    w = _exact_shares(map(partial(math.comb, N), n.tolist()), scale)
+    return GaussianMixture(np.column_stack((w, mean, var)))
 
 
 # ----------------------------------------------------------------------------
@@ -272,6 +279,15 @@ _REGIME_ALIASES = {
     "strongfields": "strong-fields",
     "smalllambdaintegeralpha": "small-lambda-integer-alpha",
     "integeralpha": "small-lambda-integer-alpha",
+}
+
+_VISIBILITY = {
+    "tfim-large": lambda lam, alpha: 2.0 * lam * lam,
+    "tfim-small": lambda lam, alpha: 8.0 / (lam * lam),
+    "strong-fields": lambda lam, alpha: (
+        2.0 * (lam * lam + alpha * alpha) ** 3 / lam**4
+    ),
+    "small-lambda-integer-alpha": lambda lam, alpha: 1.0 / lam**4,
 }
 
 
@@ -293,25 +309,25 @@ def visibility_Nmax(lam: float, alpha: float, regime: str) -> Visibility:
     The estimate compares the cluster spacing with the width of the widest
     cluster; for the small-coupling integer-alpha regime only the scaling
     ``1 / lambda^4`` is controlled, so the result is flagged as an
-    order-of-magnitude statement.
+    order-of-magnitude statement.  Couplings whose N_max is not a finite
+    float are rejected.
     """
     lam, alpha = float(lam), float(alpha)
     if not (math.isfinite(lam) and math.isfinite(alpha)):
         raise InvalidArgs(f"lambda and alpha must be finite, got {lam!r} and {alpha!r}")
     canon = _normalize_regime(regime)
-    if canon == "tfim-large":
-        return Visibility(2.0 * lam * lam, False)
-    if canon == "tfim-small":
-        if lam == 0.0:
-            raise InvalidArgs("tfim-small visibility requires lambda != 0")
-        return Visibility(8.0 / (lam * lam), False)
-    if canon == "strong-fields":
-        if lam == 0.0:
-            raise InvalidArgs("strong-fields visibility requires lambda != 0")
-        return Visibility(2.0 * (lam * lam + alpha * alpha) ** 3 / lam**4, False)
-    if lam == 0.0:
-        raise InvalidArgs("small-lambda visibility requires lambda != 0")
-    return Visibility(1.0 / lam**4, True)
+    if lam == 0.0 and canon != "tfim-large":
+        raise InvalidArgs(f"{canon} visibility requires lambda != 0")
+    try:
+        n_max = _VISIBILITY[canon](lam, alpha)
+    except (ZeroDivisionError, OverflowError):  # a power under- or overflowed
+        n_max = math.inf
+    if not math.isfinite(n_max):
+        raise InvalidArgs(
+            f"{canon} visibility N_max at lambda = {lam!r}, alpha = {alpha!r} "
+            "is beyond float range"
+        )
+    return Visibility(n_max, canon == "small-lambda-integer-alpha")
 
 
 # ----------------------------------------------------------------------------
@@ -326,6 +342,19 @@ def _combined_field(lam: float, alpha: float) -> float:
     return math.sqrt(root_sq)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as _tfim_moments
+def _strong_field_moments(
+    N: int, lam: float, alpha: float, n: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    root = _combined_field(lam, alpha)
+    root_sq = root * root
+    mean = root * (N - 2 * n) - (N - 4.0 * n * (N - n) / (N - 1)) * (
+        alpha * alpha / root_sq
+    )
+    var = 2.0 * n * (N - n) / (N - 1) * lam**4 / root_sq**2
+    return mean, var
+
+
 def strong_field_moments(
     N: int, lam: float, alpha: float, n: int
 ) -> tuple[float, float]:
@@ -337,23 +366,16 @@ def strong_field_moments(
     contribution, which dominates the width.
     """
     _require_occupation(N, n)
-    lam, alpha = float(lam), float(alpha)
-    root = _combined_field(lam, alpha)
-    root_sq = root * root
-    mean = root * (N - 2 * n) - (N - 4.0 * n * (N - n) / (N - 1)) * (
-        alpha * alpha / root_sq
-    )
-    var = 2.0 * n * (N - n) / (N - 1) * lam**4 / root_sq**2
-    return mean, var
+    mean, var = _strong_field_moments(N, float(lam), float(alpha), np.array([n]))
+    return float(mean[0]), float(var[0])
 
 
 def strong_field_components(N: int, lam: float, alpha: float) -> GaussianMixture:
     """Binomial mixture over anti-alignment clusters at strong fields."""
-    comps = []
-    for n in range(N + 1):
-        mean, var = strong_field_moments(N, lam, alpha, n)
-        comps.append(MixtureComponent(math.comb(N, n) / 2**N, mean, var))
-    return GaussianMixture(tuple(comps))
+    n = np.arange(N + 1)
+    mean, var = _strong_field_moments(N, float(lam), float(alpha), n)
+    w = _exact_shares(map(partial(math.comb, N), n.tolist()), 2**N)
+    return GaussianMixture(np.column_stack((w, mean, var)))
 
 
 # ----------------------------------------------------------------------------
@@ -361,32 +383,68 @@ def strong_field_components(N: int, lam: float, alpha: float) -> GaussianMixture
 # ----------------------------------------------------------------------------
 
 
+class _ClassTable(NamedTuple):
+    """Lambda-independent sums over the cells of each class R = 2k - n."""
+
+    R: np.ndarray  # ascending labels, one row per class
+    row: dict[int, int]
+    weights: np.ndarray  # N_R / 2^N
+    sums: np.ndarray  # float columns: N_R, S_R and the total of N_a + N_b + N_c
+    cell_rows: np.ndarray  # the class row of each interior cell, in cells(N) order
+    brackets: np.ndarray  # the shift bracket of each interior cell
+
+
 @lru_cache(maxsize=64)
-def _unit_alpha_census(N: int):
-    return degeneracy_census(N, 1)
-
-
-def _require_class(N: int, R: int) -> dict:
-    classes = _unit_alpha_census(N).classes
-    if R not in classes:
-        raise UnknownClass(f"R = {R} labels no degeneracy class at N = {N}")
-    return classes
-
-
-@lru_cache(maxsize=64)
-def _unit_alpha_cells(N: int) -> dict[int, tuple[tuple[int, int], ...]]:
-    """The (n, k) cells of each class R = 2k - n, in ``cells(N)`` order."""
-    by_class: dict[int, list[tuple[int, int]]] = {}
+def _unit_alpha_classes(N: int) -> _ClassTable:
+    """One walk over ``cells(N)`` collecting every sum a class needs."""
+    sums: dict[int, list[int]] = defaultdict(lambda: [0, 0, 0])
+    cell_labels, brackets = [], []
     for n, k in cells(N):
-        by_class.setdefault(2 * k - n, []).append((n, k))
-    return {R: tuple(members) for R, members in by_class.items()}
+        m, R = N - n, 2 * k - n
+        moves = count_Na(N, n, m, k) + count_Nb(N, n, m, k) + count_Nc(N, n, m, k)
+        sums[R][0] += f_count(N, n, k)
+        sums[R][2] += moves
+        if k > 0:
+            sums[R][1] += math.comb(n - 1, k - 1) * math.comb(m - 1, k - 1)
+            cell_labels.append(R)
+            brackets.append(_shift_bracket(n, m, k, 1.0))
+    labels = sorted(sums)
+    return _ClassTable(
+        R=np.array(labels),
+        row={R: i for i, R in enumerate(labels)},
+        weights=_exact_shares((sums[R][0] for R in labels), 2**N),
+        sums=np.array([sums[R] for R in labels], dtype=float),
+        cell_rows=np.searchsorted(labels, cell_labels),
+        brackets=np.array(brackets),
+    )
 
 
-def _class_cells(
-    N: int, R: int, interior_only: bool = False
-) -> tuple[tuple[int, int], ...]:
-    members = _unit_alpha_cells(N).get(R, ())
-    return tuple(c for c in members if c[1] > 0) if interior_only else members
+def _class_value(values_of: Callable, N: int, lam: float, R: int) -> float:
+    table = _unit_alpha_classes(N)
+    if R not in table.row:
+        raise UnknownClass(f"R = {R} labels no degeneracy class at N = {N}")
+    return float(values_of(table, N, float(lam))[table.row[R]])
+
+
+@np.errstate(over="ignore", invalid="ignore")  # as _tfim_moments
+def _class_centers(table: _ClassTable, N: int, lam: float) -> np.ndarray:
+    size, blocks, _ = table.sums.T
+    root = math.sqrt(1.0 + lam * lam)
+    return 2.0 * table.R * root + (root - 1.0 / (1.0 + lam * lam)) * (
+        N - 4.0 * N * blocks / size
+    )
+
+
+def _class_shifts(table: _ClassTable, N: int, lam: float) -> np.ndarray:
+    pref = 2.0 * lam**2 * N / (1.0 + lam**2) ** 2  # small_lambda_deltaE's, alpha = 1
+    # bincount adds each class's cell shifts in cells(N) order, as sum() did.
+    total = np.bincount(table.cell_rows, pref * table.brackets, len(table.R))
+    return total / table.sums[:, 0]
+
+
+def _class_widths(table: _ClassTable, N: int, lam: float) -> np.ndarray:
+    size, _, moves = table.sums.T
+    return np.sqrt(lam**4 / (1.0 + lam * lam) ** 2 * moves / size)
 
 
 def small_lambda_ER(N: int, lam: float, R: int) -> float:
@@ -402,16 +460,17 @@ def small_lambda_ER(N: int, lam: float, R: int) -> float:
     the class; the identity ``f(n, k) k = N C(n-1, k-1) C(N-n-1, k-1)``
     turns the degeneracy-weighted mean block count into ``N S / N_R``.
     """
-    lam = float(lam)
-    classes = _require_class(N, R)
-    N_R = classes[R]
-    S = sum(
-        math.comb(n - 1, k - 1) * math.comb(N - n - 1, k - 1)
-        for n, k in _class_cells(N, R, interior_only=True)
+    return _class_value(_class_centers, N, lam, R)
+
+
+def _shift_bracket(n: int, m: int, k: int, alpha: float) -> float:
+    c_nk = _comp(n, k)
+    c_mk = _comp(m, k)
+    bracket = ((2 * k - n) / (2.0 + alpha) + (2 * k - m) / (2.0 - alpha)) * (
+        c_nk * c_mk / k
     )
-    root = math.sqrt(1.0 + lam * lam)
-    return 2.0 * R * root + (root - 1.0 / (1.0 + lam * lam)) * (
-        N - 4.0 * N * S / N_R
+    return bracket + (2.0 * alpha / (4.0 - alpha**2)) * (
+        _comp(n - 1, k - 1) * c_mk - c_nk * _comp(m - 1, k - 1)
     )
 
 
@@ -443,15 +502,7 @@ def small_lambda_deltaE(
     if lam == 0.0:
         return 0.0
     pref = 2.0 * alpha**2 * lam**2 * N / (alpha**2 + lam**2) ** 2
-    c_nk = _comp(n, k)
-    c_mk = _comp(m, k)
-    c_nk2 = _comp(n - 1, k - 1)
-    c_mk2 = _comp(m - 1, k - 1)
-    bracket = ((2 * k - n) / (2.0 + alpha) + (2 * k - m) / (2.0 - alpha)) * (
-        c_nk * c_mk / k
-    )
-    bracket += (2.0 * alpha / (4.0 - alpha**2)) * (c_nk2 * c_mk - c_nk * c_mk2)
-    return pref * bracket
+    return pref * _shift_bracket(n, m, k, alpha)
 
 
 def small_lambda_deltaE_R(N: int, lam: float, R: int) -> float:
@@ -461,13 +512,7 @@ def small_lambda_deltaE_R(N: int, lam: float, R: int) -> float:
     is outside the cell formula's domain (k = 0), so a class containing only
     polarized cells gets zero.
     """
-    lam = float(lam)
-    classes = _require_class(N, R)
-    total = sum(
-        small_lambda_deltaE(N, n, N - n, k, 1.0, lam)
-        for n, k in _class_cells(N, R, interior_only=True)
-    )
-    return total / classes[R]
+    return _class_value(_class_shifts, N, lam, R)
 
 
 def small_lambda_sigmaR(N: int, lam: float, R: int) -> float:
@@ -478,14 +523,7 @@ def small_lambda_sigmaR(N: int, lam: float, R: int) -> float:
     (a), block-joining (b), and block-conserving (c) moves summed over the
     class's cells.
     """
-    lam = float(lam)
-    classes = _require_class(N, R)
-    total = 0
-    for n, k in _class_cells(N, R):
-        m = N - n
-        total += count_Na(N, n, m, k) + count_Nb(N, n, m, k) + count_Nc(N, n, m, k)
-    var = lam**4 / (1.0 + lam * lam) ** 2 * total / classes[R]
-    return math.sqrt(var)
+    return _class_value(_class_widths, N, lam, R)
 
 
 def small_lambda_components(
@@ -498,16 +536,12 @@ def small_lambda_components(
     anyway, and for isolating the first-order picture).
     """
     lam = float(lam)
-    census = _unit_alpha_census(N)
-    comps = []
-    for R in sorted(census.classes):
-        w = census.classes[R] / 2**N
-        mu = small_lambda_ER(N, lam, R)
-        if corrections:
-            mu += small_lambda_deltaE_R(N, lam, R)
-        sigma = small_lambda_sigmaR(N, lam, R)
-        comps.append(MixtureComponent(w, mu, sigma * sigma))
-    return GaussianMixture(tuple(comps))
+    table = _unit_alpha_classes(N)
+    mu = _class_centers(table, N, lam)
+    if corrections:
+        mu = mu + _class_shifts(table, N, lam)
+    sigma = _class_widths(table, N, lam)
+    return GaussianMixture(np.column_stack((table.weights, mu, sigma * sigma)))
 
 
 # ----------------------------------------------------------------------------
@@ -542,19 +576,20 @@ def generic_alpha_components(
         raise InvalidArgs("cell widths require lambda^2 + alpha^2 > 0")
     coupling = lam**4 / (alpha**2 + lam**2) ** 2
     floor_var = sigma_floor * sigma_floor
-    comps = []
-    for n, k in ((0, 0), (N, 0)):
-        mu = alpha * (N - 2 * n) + 4 * k - N
-        comps.append(MixtureComponent(1 / 2**N, mu, max(0.0, floor_var)))
-    for n, k in cells(N, include_polarized=False):
-        f = f_count(N, n, k)
-        mu = alpha * (N - 2 * n) + 4 * k - N
-        if exact_variance:
-            var = coupling * float(Fraction(count_Nc(N, n, N - n, k), f))
-        else:
-            var = 2.0 * coupling * k * k * (N - 2 * k) / (n * (N - n))
-        comps.append(MixtureComponent(f / 2**N, mu, max(var, floor_var)))
-    return GaussianMixture(tuple(comps))
+    pairs = cells(N)  # the two polarized cells first: spikes
+    n, k = np.array(pairs).T
+    counts = [f_count(N, a, b) for a, b in pairs]
+    mu = alpha * (N - 2 * n) + 4 * k - N
+    var = np.zeros(len(pairs))
+    if exact_variance:
+        var[2:] = coupling * np.array(
+            [count_Nc(N, a, N - a, b) / f for (a, b), f in zip(pairs[2:], counts[2:])]
+        )
+    else:
+        n, k = n[2:], k[2:]  # interior cells only
+        var[2:] = 2.0 * coupling * k * k * (N - 2 * k) / (n * (N - n))
+    var = np.where(floor_var > var, floor_var, var)
+    return GaussianMixture(np.column_stack((_exact_shares(counts, 2**N), mu, var)))
 
 
 # ----------------------------------------------------------------------------

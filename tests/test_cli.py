@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,13 @@ from ising_density.blocks import degeneracy_census
 from ising_density.cli import main
 from ising_density.curves import read_curve_csv
 from ising_density.model import IsingParams
-from ising_density.peaks import GaussianMixture
+from ising_density.peaks import (
+    GaussianMixture,
+    generic_alpha_components,
+    small_lambda_components,
+    strong_field_components,
+    tfim_mixture_components,
+)
 
 
 @pytest.fixture()
@@ -189,11 +196,22 @@ class TestApprox:
             gaussian_density_tfim(0.0, params), rel=1e-9
         )
 
-    def test_multi_tfim_emits_mixture_sidecar(self, runner, tmp_path):
+    @pytest.mark.parametrize("kind, alpha, builder, count", [
+        pytest.param(kind, alpha, builder, count, id=kind)
+        for kind, alpha, builder, count in (
+            ("multi-tfim", 0.0, lambda: tfim_mixture_components(12, 1.5), 13),
+            ("multi-strong", 1.0, lambda: strong_field_components(12, 1.5, 1.0), 13),
+            ("multi-int-alpha", 1.0, lambda: small_lambda_components(12, 1.5), 17),
+            ("multi-generic", 0.5, lambda: generic_alpha_components(12, 1.5, 0.5), 38),
+        )
+    ])
+    def test_multi_kinds_emit_mixture_sidecar(
+        self, runner, tmp_path, kind, alpha, builder, count
+    ):
         out = tmp_path / "multi.csv"
         run_ok(runner, [
-            "approx", "--kind", "multi-tfim", "--n", "12", "--lambda", "1.5",
-            "--grid", "-45:45:3001", "--out", str(out),
+            "approx", "--kind", kind, "--n", "12", "--lambda", "1.5",
+            "--alpha", repr(alpha), "--grid", "-45:45:3001", "--out", str(out),
         ])
         curve, meta = read_curve_csv(str(out))
         assert curve.integral() == pytest.approx(1.0, abs=1e-6)
@@ -202,7 +220,8 @@ class TestApprox:
         assert sidecar.exists()
         payload = json.loads(sidecar.read_text())
         mixture = GaussianMixture.from_json_dict(payload)
-        assert len(mixture.components) == 13
+        assert len(mixture.components) == count
+        assert mixture == builder()
 
     def test_multi_int_alpha_defaults(self, runner, tmp_path):
         # The figure-preview form: no --model, no --grid; model is inferred
@@ -468,6 +487,20 @@ class TestMoments:
             numeric, analytic = float(numeric_text), float(analytic_text)
             assert numeric == pytest.approx(analytic, rel=1e-10, abs=1e-10)
 
+    def test_overflowing_moments_are_one_json_line(self, runner, tmp_path):
+        out = tmp_path / "moments.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, [
+                "moments", "--model", "two-field", "--n", "4", "--lambda", "1e200",
+                "--alpha", "1", "--out", str(out),
+            ])
+        assert result.exit_code == 1, result.exception
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])) == {"code", "message"}
+        assert not out.exists()
+
 
 class TestVisibility:
     def test_prints_value(self, runner):
@@ -491,6 +524,23 @@ class TestVisibility:
         ])
         assert result.exit_code == 1
         assert json.loads(result.stderr)["code"] == "InvalidRegime"
+
+    @pytest.mark.parametrize("args", [
+        ["--regime", "tfim-small", "--lambda", "1e-200"],
+        ["--regime", "integer-alpha", "--lambda", "1e-100"],
+        ["--regime", "strong-fields", "--lambda", "1e-200", "--alpha", "1e200"],
+        ["--regime", "tfim-large", "--lambda", "1e200"],
+    ])
+    def test_n_max_beyond_float_range_is_invalid(self, runner, args):
+        result = runner.invoke(main, ["visibility", *args])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["code"] == "InvalidArgs"
+        assert "beyond float range" in error["message"]
+        assert f"lambda = {float(args[3])!r}" in error["message"]
 
     @pytest.mark.parametrize("args", [
         ["--regime", "strong-fields", "--lambda", "nan", "--alpha", "1"],

@@ -323,6 +323,9 @@ def test_curve_csv_round_trip() -> None:
     assert restored.abscissa == curve.abscissa
     assert metadata["model"] == "tfim"
     assert metadata["lambda"] == "0.8"
+    assert "# norm = unit\n" in text
+    with pytest.raises(InvalidArgs, match="unit-normalized"):
+        read_curve_csv(io.StringIO(text.replace("# norm = unit", "# norm = counts")))
 
 
 def test_comparison_report_json_round_trip() -> None:

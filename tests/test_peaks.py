@@ -159,17 +159,19 @@ class TestGaussianMixture:
             GaussianMixture((MixtureComponent(0.5, 0.0, 1.0),))
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(InvalidArgs):
-            GaussianMixture(
-                (
-                    MixtureComponent(1.5, 0.0, 1.0),
-                    MixtureComponent(-0.5, 1.0, 1.0),
+        for bad, rule in ((-0.5, ">= 0"), (math.inf, "finite"), (math.nan, "finite")):
+            with pytest.raises(InvalidArgs, match=rule):
+                GaussianMixture(
+                    (
+                        MixtureComponent(1.5, 0.0, 1.0),
+                        MixtureComponent(bad, 1.0, 1.0),
+                    )
                 )
-            )
 
     def test_negative_variance_rejected(self):
-        with pytest.raises(InvalidArgs):
-            GaussianMixture((MixtureComponent(1.0, 0.0, -1e-6),))
+        for bad, rule in ((-1e-6, ">= 0"), (math.inf, "finite"), (math.nan, "finite")):
+            with pytest.raises(InvalidArgs, match=rule):
+                GaussianMixture((MixtureComponent(1.0, 0.0, bad),))
 
     def test_single_gaussian_curve_matches_formula(self):
         mix = GaussianMixture((MixtureComponent(1.0, 0.5, 2.0),))
@@ -196,6 +198,20 @@ class TestGaussianMixture:
         # Edge trapezoid weight is half a spacing, so the node doubles.
         assert curve.values[0] == pytest.approx(2.0, rel=1e-12)
         assert curve.integral() == pytest.approx(1.0, rel=1e-12)
+
+    def test_spikes_land_on_the_nearest_node(self):
+        # Reference: argmin of the distance, which takes the lower node on
+        # a tie; spikes at the ends, on nodes, midway and in between.
+        grid = np.linspace(-1.0, 1.0, 9)
+        mus = [-1.0, -0.875, -0.75, -0.1, 0.0, 0.125, 0.6, 0.99, 1.0]
+        mix = GaussianMixture([(1.0 / len(mus), mu, 0.0) for mu in mus])
+        expect = np.zeros_like(grid)
+        tw = np.full_like(grid, 0.25)
+        tw[[0, -1]] = 0.125
+        for mu in mus:
+            i = int(np.argmin(np.abs(grid - mu)))
+            expect[i] += (1.0 / len(mus)) / tw[i]
+        np.testing.assert_array_equal(mix.density_curve(grid).values, expect)
 
     def test_out_of_grid_spike_is_dropped(self):
         mix = GaussianMixture(
@@ -691,20 +707,21 @@ class TestSmallLambdaSigmaR:
 
 class TestSmallLambdaMixture:
     def test_component_layout(self):
-        N, lam = 8, 0.2
-        mix = small_lambda_components(N, lam)
-        census = degeneracy_census(N, 1)
-        Rs = sorted(census.classes)
-        assert len(mix.components) == len(Rs)
-        for comp, R in zip(mix.components, Rs):
-            assert comp.w == pytest.approx(census.classes[R] / 2**N, rel=1e-14)
-            assert comp.mu == pytest.approx(
-                small_lambda_ER(N, lam, R) + small_lambda_deltaE_R(N, lam, R),
-                rel=1e-12,
-            )
-            assert comp.var == pytest.approx(
-                small_lambda_sigmaR(N, lam, R) ** 2, rel=1e-12, abs=1e-300
-            )
+        lam = 0.2
+        for N in (8, 40):
+            mix = small_lambda_components(N, lam)
+            census = degeneracy_census(N, 1)
+            Rs = sorted(census.classes)
+            assert len(mix.components) == len(Rs)
+            for comp, R in zip(mix.components, Rs):
+                assert comp.w == pytest.approx(census.classes[R] / 2**N, rel=1e-14)
+                assert comp.mu == pytest.approx(
+                    small_lambda_ER(N, lam, R) + small_lambda_deltaE_R(N, lam, R),
+                    rel=1e-12,
+                )
+                assert comp.var == pytest.approx(
+                    small_lambda_sigmaR(N, lam, R) ** 2, rel=1e-12, abs=1e-300
+                )
 
     def test_corrections_flag_reverts_to_bare_centers(self):
         N, lam = 8, 0.2
@@ -729,6 +746,34 @@ class TestSmallLambdaMixture:
             window = (grid > 2 * R - 0.5) & (grid < 2 * R + 0.5)
             mass = float(np.trapezoid(curve.values[window], grid[window]))
             assert mass == pytest.approx(N_R / 2**N, rel=1e-9)
+
+    @pytest.mark.parametrize("N", [8, 40])
+    def test_class_sums_equal_a_scan_of_the_cells(self, N):
+        # Reference: the class's cells scanned one by one, summed in
+        # cells(N) order; the class table must reproduce it bit for bit.
+        lam = 0.2
+        root = math.sqrt(1.0 + lam * lam)
+        for R, N_R in degeneracy_census(N, 1).classes.items():
+            members = [(n, k) for n, k in cells(N) if 2 * k - n == R]
+            interior = [(n, k) for n, k in members if k > 0]
+            S = sum(
+                math.comb(n - 1, k - 1) * math.comb(N - n - 1, k - 1) for n, k in interior
+            )
+            E_R = 2.0 * R * root + (root - 1.0 / (1.0 + lam * lam)) * (
+                N - 4.0 * N * S / N_R
+            )
+            shift = sum(
+                small_lambda_deltaE(N, n, N - n, k, 1.0, lam) for n, k in interior
+            )
+            moves = sum(
+                count(N, n, N - n, k)
+                for n, k in members
+                for count in (count_Na, count_Nb, count_Nc)
+            )
+            sigma = math.sqrt(lam**4 / (1.0 + lam * lam) ** 2 * moves / N_R)
+            assert small_lambda_ER(N, lam, R) == E_R
+            assert small_lambda_deltaE_R(N, lam, R) == shift / N_R
+            assert small_lambda_sigmaR(N, lam, R) == sigma
 
     def test_non_unit_longitudinal_field_rejected(self):
         # The alpha = 1 precondition lives in the CLI's kind -> mixture map.
