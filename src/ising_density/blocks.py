@@ -89,6 +89,11 @@ def cells(N: int, include_polarized: bool = True) -> list[tuple[int, int]]:
 def f_count(N: int, n: int, k: int) -> int:
     """Number of cyclic strings in cell (n, k)."""
     _validate_cell(N, n, k)
+    return _f_count(N, n, k)
+
+
+def _f_count(N: int, n: int, k: int) -> int:
+    """f_count of a cell already known to be valid."""
     if k == 0:
         return 1
     numerator = N * comb(n - 1, k - 1) * comb(N - n - 1, k - 1)
@@ -129,26 +134,37 @@ def _require_partition(N: int, n: int, m: int, k: int) -> None:
 def count_Na(N: int, n: int, m: int, k: int) -> int:
     """E0-conserving flips of a whole 2-up-block: (n, k) -> (n-2, k-1)."""
     _require_partition(N, n, m, k)
-    return N * _comp(n - 2, k - 1) * _comp(m, k)
+    return _count_Na(N, n, m, k)
 
 
 def count_Nb(N: int, n: int, m: int, k: int) -> int:
     """E0-conserving flips of an interior down-pair: (n, k) -> (n+2, k+1)."""
     _require_partition(N, n, m, k)
-    return N * _comp(n, k) * _comp(m - 2, k + 1)
+    return _count_Nb(N, n, m, k)
 
 
 def count_Nc(N: int, n: int, m: int, k: int) -> int:
     """E0-conserving flips of an up-down boundary pair: (n, k) -> (n, k)."""
     _require_partition(N, n, m, k)
+    return _count_Nc(N, n, m, k)
 
-    def A(x: int) -> int:
-        return _comp(x - 1, k)
 
-    def B(x: int) -> int:
-        return _comp(x - 1, k - 1)
+# The unvalidated formulas behind the counts, for callers that walk cells(N).
 
-    return 2 * N * (A(n) * B(m) + B(n) * A(m))
+
+def _count_Na(N: int, n: int, m: int, k: int) -> int:
+    return N * _comp(n - 2, k - 1) * _comp(m, k)
+
+
+def _count_Nb(N: int, n: int, m: int, k: int) -> int:
+    return N * _comp(n, k) * _comp(m - 2, k + 1)
+
+
+def _count_Nc(N: int, n: int, m: int, k: int) -> int:
+    # A(x) = comp(x - 1, k), B(x) = comp(x - 1, k - 1)
+    return 2 * N * (
+        _comp(n - 1, k) * _comp(m - 1, k - 1) + _comp(n - 1, k - 1) * _comp(m - 1, k)
+    )
 
 
 @dataclass(frozen=True)

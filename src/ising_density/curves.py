@@ -329,7 +329,8 @@ def write_curve_csv(
 ) -> None:
     """Write a curve as CSV with `# key = value` metadata comment lines."""
     metadata = {**(metadata or {}), "abscissa": curve.abscissa, "norm": "unit"}
-    rows = zip(map(float, curve.grid), map(float, curve.values))
+    # A memoryview yields Python floats one at a time, with no list per column.
+    rows = zip(memoryview(curve.grid), memoryview(curve.values))
     write_table(destination, metadata, CURVE_HEADER, rows)
 
 

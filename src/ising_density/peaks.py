@@ -35,10 +35,14 @@ import numpy as np
 
 from .blocks import (
     _comp,
+    _count_Na,
+    _count_Nb,
+    _count_Nc,
+    _f_count,
     _require_partition,
     cells,
-    count_Na,
-    count_Nb,
+    count_Na,  # noqa: F401  (bench/tracer.py wraps it here)
+    count_Nb,  # noqa: F401  (bench/tracer.py wraps it here)
     count_Nc,
     degeneracy_census,  # noqa: F401  (bench/tracer.py wraps it here)
     f_count,
@@ -78,6 +82,8 @@ __all__ = [
 XX_PROJECTION_MAX_SITES = 12
 
 _WEIGHT_TOL = 1e-12
+_WINDOW_SIGMAS = 40.0  # exp(-40^2 / 2) underflows to 0.0
+_MAX_CLASS_SITES = 1013  # the largest N with 2N 2^N < 2^1024
 
 
 # ----------------------------------------------------------------------------
@@ -145,15 +151,32 @@ class GaussianMixture:
         object.__setattr__(self, "components", comps)
 
     def density_curve(self, grid: Iterable[float], abscissa: str = "E") -> DensityCurve:
+        """Sample the mixture on a strictly ascending grid.
+
+        Each Gaussian is added, in component order, only on the grid nodes
+        within ``mu +/- 40 sigma`` of its center.  Further out
+        ``(x - mu)^2 / (2 var) >= 800`` and ``exp`` underflows to 0.0, so the
+        full per-component sum adds exactly 0.0 there: at every node
+        ``|windowed - full sum| = 0``, not merely the
+        ``e^-32 sum_j w_j / sqrt(2 pi var_j)`` of a ``+/- 8 sigma`` window.
+        """
         grid = np.asarray(grid, dtype=float)
         if grid.ndim != 1 or len(grid) < 2:
             raise InvalidArgs("grid must be a 1-D array with at least two points")
+        if not np.all(grid[1:] > grid[:-1]):
+            raise InvalidArgs("grid must be strictly ascending")
         values = np.zeros_like(grid)
         wide = self.var > 0.0
-        for w, mu, var in zip(*(a[wide].tolist() for a in (self.w, self.mu, self.var))):
-            values += (
+        w, mu, var = self.w[wide], self.mu[wide], self.var[wide]
+        reach = _WINDOW_SIGMAS * np.sqrt(var)
+        # Closed windows: a node outside lies beyond mu +/- reach exactly, and a
+        # sigma below the spacing of floats near mu still keeps the node at mu.
+        los = np.searchsorted(grid, mu - reach, side="left").tolist()
+        his = np.searchsorted(grid, mu + reach, side="right").tolist()
+        for w, mu, var, lo, hi in zip(w.tolist(), mu.tolist(), var.tolist(), los, his):
+            values[lo:hi] += (
                 w
-                * np.exp(-((grid - mu) ** 2) / (2.0 * var))
+                * np.exp(-((grid[lo:hi] - mu) ** 2) / (2.0 * var))
                 / math.sqrt(2.0 * math.pi * var)
             )
         # Off-grid spikes carry no representable mass.
@@ -396,13 +419,27 @@ class _ClassTable(NamedTuple):
 
 @lru_cache(maxsize=64)
 def _unit_alpha_classes(N: int) -> _ClassTable:
-    """One walk over ``cells(N)`` collecting every sum a class needs."""
+    """One walk over ``cells(N)`` collecting every sum a class needs.
+
+    The sums are used as floats.  N_R <= 2^N; S_R = sum f k / N <= N_R / 2
+    since k <= N/2, and the centers take 4 N S_R <= 2N 2^N; the transition
+    total is at most N N_R (N flips per state).  So every float stays finite
+    while 2N 2^N < 2^1024, that is N <= 1013; larger rings are refused before
+    the walk.
+    """
+    if N < 2:
+        raise InvalidArgs(f"ring size must be >= 2, got N={N}")
+    if N > _MAX_CLASS_SITES:
+        raise CapExceeded(
+            f"unit-alpha class sums at N = {N} would leave float range "
+            f"(2N 2^N must stay below 2^1024, so N <= {_MAX_CLASS_SITES})"
+        )
     sums: dict[int, list[int]] = defaultdict(lambda: [0, 0, 0])
     cell_labels, brackets = [], []
     for n, k in cells(N):
         m, R = N - n, 2 * k - n
-        moves = count_Na(N, n, m, k) + count_Nb(N, n, m, k) + count_Nc(N, n, m, k)
-        sums[R][0] += f_count(N, n, k)
+        moves = _count_Na(N, n, m, k) + _count_Nb(N, n, m, k) + _count_Nc(N, n, m, k)
+        sums[R][0] += _f_count(N, n, k)
         sums[R][2] += moves
         if k > 0:
             sums[R][1] += math.comb(n - 1, k - 1) * math.comb(m - 1, k - 1)

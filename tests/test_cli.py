@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -281,6 +282,21 @@ class TestApprox:
         ])
         curve, _ = read_curve_csv(str(out))
         assert curve.integral() == pytest.approx(1.0, abs=1e-6)
+
+    def test_multi_int_alpha_beyond_float_range_fails_fast(self, runner, tmp_path):
+        out = tmp_path / "x.csv"
+        start = time.perf_counter()
+        result = runner.invoke(main, [
+            "approx", "--kind", "multi-int-alpha", "--n", "1100", "--lambda", "0.1",
+            "--alpha", "1", "--out", str(out),
+        ])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 1
+        (line,) = result.stderr.splitlines()
+        error = json.loads(line)
+        assert error["code"] == "CapExceeded"
+        assert "N = 1100" in error["message"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("lam,alpha", [
         ("nan", "0"), ("inf", "0"), ("0.5", "nan"), ("0.5", "-inf"),

@@ -350,3 +350,15 @@ def test_write_table_in_chunks_matches_one_string(monkeypatch, count) -> None:
     table.write_table(buffer, {"n": 3}, "index,energy", rows)
     lines = ["# n = 3", "index,energy", *(f"{i},{x!r}" for i, x in rows)]
     assert buffer.getvalue() == "\n".join(lines) + "\n"
+
+
+def test_curve_rows_are_the_reprs_of_a_strided_grid() -> None:
+    """Rows come from the arrays' buffers, and DensityCurve keeps a strided
+    grid as the view it was given: each element's repr must still be written."""
+    base = np.linspace(-1.0, 2.0, 31) ** 3
+    values = np.linspace(0.0, 1.0, 11) / 3.0
+    curve = DensityCurve(base[::3], values)
+    buffer = io.StringIO()
+    write_curve_csv(curve, buffer)
+    rows = buffer.getvalue().splitlines()[-len(values):]
+    assert rows == [f"{x!r},{y!r}" for x, y in zip(base[::3].tolist(), values.tolist())]

@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 from ising_density.blocks import (
+    brute_force_census,
     cells,
     count_Na,
     count_Nb,
@@ -65,6 +66,7 @@ from ising_density.peaks import (
     visibility_Nmax,
     xx_projection_check,
 )
+from ising_density.peaks import _unit_alpha_classes
 
 # ----------------------------------------------------------------------------
 # oracles
@@ -153,6 +155,25 @@ def finite_e_avg(N: int, lam: float) -> float:
 # ----------------------------------------------------------------------------
 
 
+def full_sum_density(mix: GaussianMixture, grid: np.ndarray) -> np.ndarray:
+    """Every Gaussian on every node in component order, then each spike on
+    its nearest node (the lower one on a tie).  Outside its window a Gaussian
+    underflows to 0.0, so the windowed sampling must match this bit for bit."""
+    values = np.zeros_like(grid)
+    for w, mu, var in mix.components:
+        if var > 0.0:
+            values += w * np.exp(-((grid - mu) ** 2) / (2.0 * var)) / math.sqrt(
+                2.0 * math.pi * var
+            )
+    trapezoid = np.gradient(grid)
+    trapezoid[[0, -1]] *= 0.5
+    for w, mu, var in mix.components:
+        if var == 0.0 and grid[0] <= mu <= grid[-1]:
+            i = int(np.argmin(np.abs(grid - mu)))
+            values[i] += w / trapezoid[i]
+    return values
+
+
 class TestGaussianMixture:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(InvalidArgs):
@@ -223,6 +244,51 @@ class TestGaussianMixture:
         grid = np.linspace(0.0, 4.0, 5)
         curve = mix.density_curve(grid)
         assert curve.integral() == pytest.approx(0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("case", ["narrow", "off-grid", "clipped", "spikes"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_windows_equal_the_full_sum(self, case, seed):
+        rng = np.random.default_rng(seed)
+        grid = np.sort(rng.uniform(-10.0, 10.0, 400))
+        size = 60
+        mu = rng.uniform(-9.0, 9.0, size)
+        sigma = rng.uniform(0.05, 2.0, size)
+        if case == "narrow":  # mostly below the grid spacing of about 0.05
+            sigma = 10.0 ** rng.uniform(-4.0, -1.0, size)
+        elif case == "off-grid":  # half the windows miss the grid
+            mu[::2] = rng.choice([-1.0, 1.0], size // 2) * rng.uniform(600.0, 1e4, size // 2)
+        elif case == "clipped":  # windows cut at either end
+            mu = rng.choice([-10.0, 10.0], size) + rng.uniform(-3.0, 3.0, size)
+            sigma = rng.uniform(0.5, 40.0, size)
+        var = sigma**2
+        if case == "narrow":  # mu +/- 40 sigma rounds to mu: only the node at mu
+            mu[:3], var[:3] = grid[[10, 200, 390]], 1e-300
+        elif case == "spikes":
+            var[::3] = 0.0
+        w = rng.dirichlet(np.ones(size))
+        mix = GaussianMixture(np.column_stack((w, mu, var)))
+        np.testing.assert_array_equal(
+            mix.density_curve(grid).values, full_sum_density(mix, grid)
+        )
+
+    def test_builder_mixture_equals_the_full_sum(self):
+        # Three spikes (the polarized cells and k = N/2) and 63 Gaussians,
+        # 11 of them narrower than the grid spacing.
+        mix = generic_alpha_components(16, 0.05, 0.47)
+        grid = np.linspace(-40.0, 30.0, 7001)
+        np.testing.assert_array_equal(
+            mix.density_curve(grid).values, full_sum_density(mix, grid)
+        )
+
+    @pytest.mark.parametrize("grid", [
+        np.linspace(1.0, -1.0, 5),
+        np.array([-1.0, 0.0, 0.0, 1.0]),
+        np.array([-1.0, math.nan, 1.0]),
+    ])
+    def test_grid_must_be_strictly_ascending(self, grid):
+        mix = GaussianMixture(((0.5, 0.0, 1.0), (0.5, 0.3, 0.0)))
+        with pytest.raises(InvalidArgs, match="strictly ascending"):
+            mix.density_curve(grid)
 
     def test_json_round_trip(self):
         mix = GaussianMixture(
@@ -774,6 +840,43 @@ class TestSmallLambdaMixture:
             assert small_lambda_ER(N, lam, R) == E_R
             assert small_lambda_deltaE_R(N, lam, R) == shift / N_R
             assert small_lambda_sigmaR(N, lam, R) == sigma
+
+    @pytest.mark.parametrize("N", range(2, 41))
+    def test_class_table_equals_the_validated_counts(self, N):
+        sums = {}
+        for n, k in cells(N):
+            m, R = N - n, 2 * k - n
+            entry = sums.setdefault(R, [0, 0, 0])
+            entry[0] += f_count(N, n, k)
+            entry[1] += f_count(N, n, k) * k // N
+            entry[2] += sum(count(N, n, m, k) for count in (count_Na, count_Nb, count_Nc))
+        labels = sorted(sums)
+        table = _unit_alpha_classes(N)
+        assert table.R.tolist() == labels
+        assert table.weights.tolist() == [sums[R][0] / 2**N for R in labels]
+        assert table.sums.tolist() == [[float(v) for v in sums[R]] for R in labels]
+
+    # From N = 3: on the two-site ring both bonds join the same pair, and the
+    # scan counts each flip twice where the transition formulas count none.
+    @pytest.mark.parametrize("N", range(3, 13))
+    def test_class_table_equals_a_scan_of_all_strings(self, N):
+        scan = brute_force_census(N)
+        sums = {R: [size, 0, 0] for R, size in scan.classes_alpha1.items()}
+        for (n, k), f in scan.f_table.items():
+            sums[2 * k - n][1] += f * k // N
+        for (n, k), moves in scan.transitions.items():
+            sums[2 * k - n][2] += sum(moves.values())
+        table = _unit_alpha_classes(N)
+        assert table.R.tolist() == sorted(sums)
+        assert table.sums.tolist() == [[float(v) for v in sums[R]] for R in sorted(sums)]
+
+    def test_class_sums_beyond_float_range_are_refused(self):
+        # 2N 2^N < 2^1024 holds up to N = 1013; the check precedes the walk.
+        assert 2 * 1013 * 2**1013 < 2**1024 <= 2 * 1014 * 2**1014
+        with pytest.raises(CapExceeded, match="N = 1014"):
+            small_lambda_components(1014, 0.1)
+        with pytest.raises(InvalidArgs, match="N=1"):
+            small_lambda_components(1, 0.1)
 
     def test_non_unit_longitudinal_field_rejected(self):
         # The alpha = 1 precondition lives in the CLI's kind -> mixture map.
