@@ -325,11 +325,17 @@ def tail_density_critical(E: float | np.ndarray, N: int) -> float | np.ndarray:
             f"tail formula requires E > E_gs = {E_gs:.6f}, "
             f"got E={float(energies.flat[below[0]])}"
         )
-    with np.errstate(over="raise"):
-        value = (
-            2.0**-N
-            * gap**-0.75
-            / math.sqrt(8.0 * math.sqrt(6.0 * math.pi) * N)
-            * np.exp(np.sqrt(math.pi * N * gap / 6.0))
-        )
+    try:
+        with np.errstate(over="raise"):
+            value = (
+                2.0**-N
+                * gap**-0.75
+                / math.sqrt(8.0 * math.sqrt(6.0 * math.pi) * N)
+                * np.exp(np.sqrt(math.pi * N * gap / 6.0))
+            )
+    except FloatingPointError:  # the exponential grows fastest at the largest E
+        raise InvalidArgs(
+            f"tail density at N = {N}, E = {float(energies.max())!r} "
+            "is beyond float range"
+        ) from None
     return float(value) if np.isscalar(E) else value

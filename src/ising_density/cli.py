@@ -385,8 +385,8 @@ def census(n, alpha, out) -> None:
 def moments(model, n, lam, alpha, max_order, out) -> None:
     """Tabulate numeric (dense-trace) vs analytic moments up to max order."""
     params = _build_params(model, n, lam, alpha)
-    numeric = numeric_moments(exact_spectrum(params), max_order=max_order)
     analytic = analytic_moments(params)
+    numeric = numeric_moments(exact_spectrum(params), max_order=max_order)
     rows = [
         (k, float(getattr(numeric, f"m{k}")), float(getattr(analytic, f"m{k}")))
         for k in range(1, max_order + 1)

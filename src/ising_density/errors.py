@@ -23,6 +23,13 @@ class InvalidArgs(IsingError):
     """Arguments violate an operation's preconditions."""
 
 
+def beyond_float_range(what: str, lam: float, alpha: float) -> InvalidArgs:
+    """The error for couplings at which a formula leaves float range."""
+    return InvalidArgs(
+        f"{what} at lambda = {lam!r}, alpha = {alpha!r} is beyond float range"
+    )
+
+
 class OutOfSupport(IsingError):
     """Energy per spin lies at or outside the spectral support |e_gs|."""
 

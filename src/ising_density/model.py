@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapExceeded, EigensolverFailure, InvalidArgs
+from .errors import CapExceeded, EigensolverFailure, InvalidArgs, beyond_float_range
 
 DEFAULT_MAX_BYTES = 4 * 1024**3
 
@@ -221,8 +221,12 @@ def numeric_moments(spectrum: ManyBodySpectrum, max_order: int = 4) -> MomentSet
         raise InvalidArgs(
             f"spectrum incomplete: {len(E)} energies for N={spectrum.params.N}"
         )
-    with np.errstate(over="raise", invalid="raise"):  # overflow is an error
-        values = {f"m{k}": float(np.mean(E**k)) for k in range(1, max_order + 1)}
+    try:
+        with np.errstate(over="raise", invalid="raise"):  # overflow is an error
+            values = {f"m{k}": float(np.mean(E**k)) for k in range(1, max_order + 1)}
+    except FloatingPointError:
+        params = spectrum.params
+        raise beyond_float_range("a spectral moment", params.lam, params.alpha) from None
     return MomentSet(max_order=max_order, **values)
 
 
@@ -235,13 +239,18 @@ def analytic_moments(params: IsingParams) -> MomentSet:
     should prefer numeric_moments.
     """
     N, lam, alpha = params.N, params.lam, params.alpha
-    w = 1.0 + lam**2 + alpha**2
-    m4 = 3 * N**2 * w**2 - N * (
-        2
-        + 8 * lam**2
-        + 2 * lam**4
-        + 4 * lam**2 * alpha**2
-        + 2 * alpha**4
-        - 24 * alpha**2
-    )
+    try:  # a float ** raises OverflowError where * and + give inf
+        w = 1.0 + lam**2 + alpha**2
+        m4 = 3 * N**2 * w**2 - N * (
+            2
+            + 8 * lam**2
+            + 2 * lam**4
+            + 4 * lam**2 * alpha**2
+            + 2 * alpha**4
+            - 24 * alpha**2
+        )
+    except OverflowError:
+        m4 = math.inf
+    if not math.isfinite(m4):  # m2 and m3 are finite wherever m4 is
+        raise beyond_float_range("the closed-form moment m4", lam, alpha)
     return MomentSet(m1=0.0, m2=N * w, m3=-6.0 * N * alpha**2, m4=m4, max_order=4)

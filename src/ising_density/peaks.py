@@ -54,6 +54,7 @@ from .errors import (
     InvalidArgs,
     InvalidRegime,
     UnknownClass,
+    beyond_float_range,
 )
 from .fermion import momentum_grid, one_particle_energy
 from .quadrature import g_phi, integrate_phi
@@ -247,7 +248,7 @@ def _require_occupation(N: int, n: int) -> None:
         raise InvalidArgs(f"occupation n must satisfy 0 <= n <= N, got n={n}, N={N}")
 
 
-# Overflowing couplings give non-finite moments, which GaussianMixture rejects.
+# Overflowing couplings give non-finite moments, which are refused by name.
 @np.errstate(over="ignore", invalid="ignore")
 def _tfim_moments(N: int, lam: float, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     es = one_particle_energy(lam, momentum_grid(N, "even"))
@@ -255,6 +256,8 @@ def _tfim_moments(N: int, lam: float, n: np.ndarray) -> tuple[np.ndarray, np.nda
     e2 = float(np.sum(es * es)) / (4 * N)
     mean = (N - 2 * n) * e1
     var = 4.0 * n * (N - n) / (N - 1) * (e2 - e1 * e1)
+    if not (np.isfinite(mean).all() and np.isfinite(var).all()):
+        raise beyond_float_range("a transverse-field cluster moment", lam, 0.0)
     return mean, np.where(var < 0.0, 0.0, var)
 
 
@@ -346,10 +349,7 @@ def visibility_Nmax(lam: float, alpha: float, regime: str) -> Visibility:
     except (ZeroDivisionError, OverflowError):  # a power under- or overflowed
         n_max = math.inf
     if not math.isfinite(n_max):
-        raise InvalidArgs(
-            f"{canon} visibility N_max at lambda = {lam!r}, alpha = {alpha!r} "
-            "is beyond float range"
-        )
+        raise beyond_float_range(f"{canon} visibility N_max", lam, alpha)
     return Visibility(n_max, canon == "small-lambda-integer-alpha")
 
 
@@ -374,7 +374,12 @@ def _strong_field_moments(
     mean = root * (N - 2 * n) - (N - 4.0 * n * (N - n) / (N - 1)) * (
         alpha * alpha / root_sq
     )
-    var = 2.0 * n * (N - n) / (N - 1) * lam**4 / root_sq**2
+    try:  # a float ** raises OverflowError where * and + give inf
+        var = 2.0 * n * (N - n) / (N - 1) * lam**4 / root_sq**2
+    except OverflowError:
+        var = np.inf
+    if not (np.isfinite(mean).all() and np.isfinite(var).all()):
+        raise beyond_float_range("a strong-field cluster moment", lam, alpha)
     return mean, var
 
 
@@ -456,6 +461,14 @@ def _unit_alpha_classes(N: int) -> _ClassTable:
     )
 
 
+def _require_transition_ring(N: int) -> None:
+    # On the two-site ring both bonds join the same pair of spins, and the
+    # transition counts N_a, N_b and N_c, which treat bonds as distinct,
+    # miss flips that a scan of all strings finds.
+    if N < 3:
+        raise InvalidArgs(f"transition-count widths need a ring of N >= 3, got N={N}")
+
+
 def _class_value(values_of: Callable, N: int, lam: float, R: int) -> float:
     table = _unit_alpha_classes(N)
     if R not in table.row:
@@ -467,21 +480,31 @@ def _class_value(values_of: Callable, N: int, lam: float, R: int) -> float:
 def _class_centers(table: _ClassTable, N: int, lam: float) -> np.ndarray:
     size, blocks, _ = table.sums.T
     root = math.sqrt(1.0 + lam * lam)
-    return 2.0 * table.R * root + (root - 1.0 / (1.0 + lam * lam)) * (
+    centers = 2.0 * table.R * root + (root - 1.0 / (1.0 + lam * lam)) * (
         N - 4.0 * N * blocks / size
     )
+    if not np.isfinite(centers).all():
+        raise beyond_float_range("a class center E_R", lam, 1.0)
+    return centers
 
 
 def _class_shifts(table: _ClassTable, N: int, lam: float) -> np.ndarray:
-    pref = 2.0 * lam**2 * N / (1.0 + lam**2) ** 2  # small_lambda_deltaE's, alpha = 1
+    try:
+        pref = 2.0 * lam**2 * N / (1.0 + lam**2) ** 2  # small_lambda_deltaE's, alpha = 1
+    except OverflowError:
+        raise beyond_float_range("the class shift prefactor", lam, 1.0) from None
     # bincount adds each class's cell shifts in cells(N) order, as sum() did.
     total = np.bincount(table.cell_rows, pref * table.brackets, len(table.R))
     return total / table.sums[:, 0]
 
 
 def _class_widths(table: _ClassTable, N: int, lam: float) -> np.ndarray:
+    _require_transition_ring(N)
     size, _, moves = table.sums.T
-    return np.sqrt(lam**4 / (1.0 + lam * lam) ** 2 * moves / size)
+    try:
+        return np.sqrt(lam**4 / (1.0 + lam * lam) ** 2 * moves / size)
+    except OverflowError:
+        raise beyond_float_range("a class width sigma_R", lam, 1.0) from None
 
 
 def small_lambda_ER(N: int, lam: float, R: int) -> float:
@@ -611,7 +634,10 @@ def generic_alpha_components(
         raise InvalidArgs(f"sigma_floor must be >= 0, got {sigma_floor!r}")
     if lam * lam + alpha * alpha == 0.0:
         raise InvalidArgs("cell widths require lambda^2 + alpha^2 > 0")
-    coupling = lam**4 / (alpha**2 + lam**2) ** 2
+    try:
+        coupling = lam**4 / (alpha**2 + lam**2) ** 2
+    except OverflowError:
+        raise beyond_float_range("the cell width coupling", lam, alpha) from None
     floor_var = sigma_floor * sigma_floor
     pairs = cells(N)  # the two polarized cells first: spikes
     n, k = np.array(pairs).T
@@ -619,6 +645,7 @@ def generic_alpha_components(
     mu = alpha * (N - 2 * n) + 4 * k - N
     var = np.zeros(len(pairs))
     if exact_variance:
+        _require_transition_ring(N)
         var[2:] = coupling * np.array(
             [count_Nc(N, a, N - a, b) / f for (a, b), f in zip(pairs[2:], counts[2:])]
         )

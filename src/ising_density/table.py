@@ -3,8 +3,19 @@
 A table is a block of ``# key = value`` metadata lines, one header line of
 comma-separated column names and one line per row.  Cells are written with
 ``%s``, so floats come out in shortest round-trip form and reruns are
-byte-identical.  Writing formats and writes 65,536 rows at a time, and
-reading streams the file and keeps each row only as floats.
+byte-identical.  Writing formats and writes 65,536 rows at a time.
+
+Reading takes the metadata lines and the header with ``readline`` and hands
+the rest of the open handle to one ``np.loadtxt``, whose C parser converts
+the rows; no whole-file string is built.  It accepts a subset of what the
+line-by-line parser ``_parse_lines`` accepts, with the same doubles, since
+both round correctly.  When it refuses the rows (a malformed row, a
+whitespace-only line, a ``#`` line after the header, ``1_0``-style digits,
+undecodable bytes) or finds a column count other than the header's, the
+handle is rewound to where the table began and ``_parse_lines`` reads it
+all again, so its rules and its ``InvalidArgs`` messages hold unchanged,
+down to the byte offset a decoding error names.  Handles that cannot seek
+go to ``_parse_lines`` directly.
 
 Two kinds of table are read back: eigenvalue spectra (header
 ``index,energy``) and density curves (header ``abscissa,density``).
@@ -12,6 +23,7 @@ Two kinds of table are read back: eigenvalue spectra (header
 
 from __future__ import annotations
 
+import warnings
 from array import array
 from contextlib import contextmanager
 from itertools import islice
@@ -86,20 +98,56 @@ def read_table(source: str | IO[str]) -> Table:
     return _parse(getattr(source, "name", "<stream>"), source)
 
 
-def _parse(name: str, lines: Iterable[str]) -> Table:
+def _parse(name: str, handle: IO[str]) -> Table:
+    if handle.seekable():
+        start = handle.tell()
+        try:
+            table = _parse_streamed(name, handle)
+        except ValueError:  # a row loadtxt refuses, or bytes that do not decode
+            table = None
+        if table is not None:
+            return table
+        handle.seek(start)
+    return _parse_lines(name, handle)
+
+
+def _comment(stripped: str, metadata: dict[str, str]) -> bool:
+    """Say whether a stripped line is a comment; keep it if ``# key = value``."""
+    if not stripped.startswith("#"):
+        return False
+    key, sep, value = stripped.lstrip("#").partition("=")
+    if sep:
+        metadata[key.strip()] = value.strip()
+    return True
+
+
+def _parse_streamed(name: str, handle: IO[str]) -> Table | None:
+    """Parse the rows in C, or return None where the line parser must decide."""
+    metadata: dict[str, str] = {}
+    for line in iter(handle.readline, ""):
+        header = line.strip()
+        if header and not _comment(header, metadata):
+            break
+    else:
+        return None
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        rows = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2, dtype=float)
+    if rows.shape[1] != header.count(",") + 1:
+        return None
+    return Table(name, metadata, header, rows.T.copy())
+
+
+def _parse_lines(name: str, lines: Iterable[str]) -> Table:
     metadata: dict[str, str] = {}
     header = None
     width = 0
     values = array("d")
     for line in lines:
         stripped = line.strip()
-        if not stripped:
+        if not stripped or _comment(stripped, metadata):
             continue
-        if stripped.startswith("#"):
-            key, sep, value = stripped.lstrip("#").partition("=")
-            if sep:
-                metadata[key.strip()] = value.strip()
-        elif header is None:
+        if header is None:
             header = stripped
             width = header.count(",") + 1
         else:

@@ -11,16 +11,19 @@ honestly and its assertion message carries the per-class detail.
 from __future__ import annotations
 
 import math
+import os
 import shutil
 import subprocess
 import sys
 import time
 from collections import Counter
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ising_density
 from ising_density.analytic import (
     gaussian_density_tfim,
     gaussian_density_two_fields,
@@ -401,6 +404,9 @@ def _count_local_maxima(values: np.ndarray) -> int:
 def test_criterion_11_cli_preview(tmp_path) -> None:
     script = shutil.which("ising-density")
     command = [script] if script else [sys.executable, "-m", "ising_density"]
+    # The package may be importable only through this process's sys.path.
+    package_root = str(Path(ising_density.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     commands = (
         ("multi-int-alpha", ["--kind", "multi-int-alpha", "--n", "64",
                              "--lambda", "0.3333", "--alpha", "1"]),
@@ -413,6 +419,7 @@ def test_criterion_11_cli_preview(tmp_path) -> None:
         start = time.perf_counter()
         proc = subprocess.run(
             [*command, "approx", *args, "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": path},
             capture_output=True,
             text=True,
         )

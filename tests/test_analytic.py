@@ -29,6 +29,7 @@ from ising_density.analytic import (
 from ising_density import quadrature
 from ising_density.errors import (
     AtOrBelowGroundState,
+    InvalidArgs,
     NegativeDensityWarning,
     NoConvergence,
     OutOfSupport,
@@ -313,6 +314,12 @@ def test_tail_density_critical_rejects_at_or_below_ground_state() -> None:
     for E in (E_gs, E_gs - 0.5):
         with pytest.raises(AtOrBelowGroundState):
             tail_density_critical(E, N)
+
+
+def test_tail_density_critical_beyond_float_range_is_refused() -> None:
+    with pytest.raises(InvalidArgs) as info:
+        tail_density_critical(np.array([-20.0, 1e10]), 16)
+    assert str(info.value) == "tail density at N = 16, E = 10000000000.0 is beyond float range"
 
 
 def test_quadrature_gives_up_at_max_order(monkeypatch) -> None:

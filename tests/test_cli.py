@@ -313,7 +313,7 @@ class TestApprox:
 
     @pytest.mark.parametrize("kind,lam,code", [
         ("saddle", "1e300", "NoConvergence"),
-        ("multi-strong", "1e100", "OverflowError"),
+        ("multi-strong", "1e100", "InvalidArgs"),
     ])
     def test_extreme_couplings_are_compute_errors(
         self, runner, tmp_path, kind, lam, code
@@ -324,6 +324,46 @@ class TestApprox:
         ])
         assert result.exit_code == 1
         assert json.loads(result.stderr)["code"] == code
+
+    @pytest.mark.parametrize("args,what", [
+        (["moments", "--model", "two-field", "--n", "6", "--lambda", "1e200",
+          "--alpha", "1"], "the closed-form moment m4"),
+        (["approx", "--kind", "multi-strong", "--n", "6", "--lambda", "1e300",
+          "--alpha", "1e300"], "a strong-field cluster moment"),
+        (["approx", "--kind", "multi-generic", "--n", "6", "--lambda", "1e300"],
+         "the cell width coupling"),
+        (["approx", "--kind", "multi-int-alpha", "--n", "6", "--lambda", "1e100",
+          "--alpha", "1"], "the class shift prefactor"),
+        (["approx", "--kind", "multi-int-alpha", "--n", "6", "--lambda", "1e300",
+          "--alpha", "1"], "a class center E_R"),
+        (["approx", "--kind", "multi-tfim", "--n", "6", "--lambda", "1e300"],
+         "a transverse-field cluster moment"),
+    ])
+    def test_huge_couplings_are_refused_by_name(self, runner, tmp_path, args, what):
+        out = tmp_path / "x.csv"
+        result = runner.invoke(main, [*args, "--out", str(out)])
+        assert result.exit_code == 1
+        (line,) = result.stderr.splitlines()
+        lam = float(args[args.index("--lambda") + 1])
+        alpha = float(args[args.index("--alpha") + 1]) if "--alpha" in args else 0.0
+        assert json.loads(line) == {
+            "code": "InvalidArgs",
+            "message": f"{what} at lambda = {lam!r}, alpha = {alpha!r} "
+            "is beyond float range",
+        }
+        assert not out.exists()
+
+    def test_multi_int_alpha_needs_three_sites(self, runner, tmp_path):
+        # On the two-site ring the transition counts give sigma_R = 0 for a
+        # class whose two exact levels lie 0.013 apart.
+        result = runner.invoke(main, [
+            "approx", "--kind", "multi-int-alpha", "--n", "2", "--lambda", "0.1",
+            "--alpha", "1", "--out", str(tmp_path / "x.csv"),
+        ])
+        assert result.exit_code == 1
+        error = json.loads(result.stderr)
+        assert error["code"] == "InvalidArgs"
+        assert "N=2" in error["message"]
 
     def test_saddle_at_huge_lambda_is_the_gaussian(self, runner, tmp_path):
         # beta_sp ~ e / (1 + lambda^2) is far below any fixed absolute

@@ -187,6 +187,18 @@ def test_numeric_moments_three_site() -> None:
     assert mom.m2 == pytest.approx(3.0, rel=1e-12)
 
 
+def test_moments_beyond_float_range_name_the_couplings() -> None:
+    params = IsingParams.two_field(4, 1e100, 1.0)
+    spectrum = ManyBodySpectrum(np.full(16, 1e100), "dense", params)
+    suffix = "at lambda = 1e+100, alpha = 1.0 is beyond float range"
+    with pytest.raises(InvalidArgs) as info:
+        numeric_moments(spectrum)
+    assert str(info.value) == f"a spectral moment {suffix}"
+    with pytest.raises(InvalidArgs) as info:
+        analytic_moments(params)
+    assert str(info.value) == f"the closed-form moment m4 {suffix}"
+
+
 def test_numeric_moments_requires_complete_spectrum() -> None:
     spec = exact_spectrum(IsingParams.tfim(4, 1.0))
     truncated = ManyBodySpectrum(spec.energies[:-1], "dense", spec.params)

@@ -46,7 +46,7 @@ from ising_density.errors import (
     UnknownClass,
 )
 from ising_density.fermion import momentum_grid, one_particle_energy
-from ising_density.model import IsingParams, exact_spectrum
+from ising_density.model import IsingParams, build_hamiltonian, exact_spectrum
 from ising_density.peaks import (
     GaussianMixture,
     MixtureComponent,
@@ -765,6 +765,20 @@ class TestSmallLambdaSigmaR:
         with pytest.raises(UnknownClass):
             small_lambda_sigmaR(8, 0.1, -6)
 
+    def test_two_site_ring_is_refused(self):
+        # Both bonds of the N = 2 ring join the same pair of spins, so the
+        # transition counts give sigma_R = 0 for the class R = 1, whose two
+        # exact levels lie 0.013 apart at lambda = 0.1.
+        levels = np.linalg.eigvalsh(build_hamiltonian(IsingParams.two_field(2, 0.1, 1.0)))
+        assert levels[-1] - levels[-2] > 0.01
+        for widths in (
+            lambda: small_lambda_sigmaR(2, 0.1, 1),
+            lambda: small_lambda_components(2, 0.1),
+            lambda: generic_alpha_components(2, 0.1, 0.5, exact_variance=True),
+        ):
+            with pytest.raises(InvalidArgs, match="N=2"):
+                widths()
+
 
 # ----------------------------------------------------------------------------
 # integer-alpha cluster mixture
@@ -1045,3 +1059,27 @@ class TestXXProjection:
             xx_projection_check(8, 1.0, 1.0, 9)
         with pytest.raises(InvalidArgs):
             xx_projection_check(8, 0.0, 0.0, 4)
+
+
+# ----------------------------------------------------------------------------
+# couplings beyond float range
+# ----------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("formula,what,lam,alpha", [
+    (lambda: tfim_fixed_n_moments(8, 1e300, 3), "a transverse-field cluster moment",
+     1e300, 0.0),
+    (lambda: strong_field_moments(8, 1e100, 1.0, 3), "a strong-field cluster moment",
+     1e100, 1.0),
+    (lambda: small_lambda_ER(8, 1e300, 0), "a class center E_R", 1e300, 1.0),
+    (lambda: small_lambda_deltaE_R(8, 1e100, 0), "the class shift prefactor",
+     1e100, 1.0),
+    (lambda: small_lambda_sigmaR(8, 1e100, 0), "a class width sigma_R", 1e100, 1.0),
+    (lambda: generic_alpha_components(8, 0.1, 1e200), "the cell width coupling",
+     0.1, 1e200),
+])
+def test_formulas_beyond_float_range_name_the_couplings(formula, what, lam, alpha):
+    message = f"{what} at lambda = {lam!r}, alpha = {alpha!r} is beyond float range"
+    with pytest.raises(InvalidArgs) as info:
+        formula()
+    assert str(info.value) == message
