@@ -84,6 +84,7 @@ _STEP_TOL = 1e-13
 # node sum (measured at most 2.2 ulps at orders 64 and 128), so Newton stops
 # there.
 _RESIDUAL_FLOOR = 16.0 * np.finfo(float).eps
+_TINY = np.finfo(float).tiny  # smallest normal float
 _MAX_STEPS = 200
 # Rows per chunk keep each (points x nodes) temporary near this size.
 _CHUNK_BYTES = 8 << 20
@@ -325,17 +326,21 @@ def tail_density_critical(E: float | np.ndarray, N: int) -> float | np.ndarray:
             f"tail formula requires E > E_gs = {E_gs:.6f}, "
             f"got E={float(energies.flat[below[0]])}"
         )
-    try:
-        with np.errstate(over="raise"):
-            value = (
-                2.0**-N
-                * gap**-0.75
-                / math.sqrt(8.0 * math.sqrt(6.0 * math.pi) * N)
-                * np.exp(np.sqrt(math.pi * N * gap / 6.0))
-            )
-    except FloatingPointError:  # the exponential grows fastest at the largest E
-        raise InvalidArgs(
-            f"tail density at N = {N}, E = {float(energies.max())!r} "
-            "is beyond float range"
-        ) from None
+    norm = math.sqrt(8.0 * math.sqrt(6.0 * math.pi) * N)
+    root = np.sqrt(math.pi * N * gap / 6.0)
+    with np.errstate(all="ignore"):
+        value = np.asarray(2.0**-N * gap**-0.75 / norm * np.exp(root))
+    # 2**-N is subnormal beyond N = 1022.  There, and where the product leaves
+    # the normal float range, it is one exponential of the summed logarithms.
+    redo = ~(value >= _TINY) | np.isinf(value) | (N > 1022)
+    if redo.any():
+        log_value = -N * math.log(2.0) - 0.75 * np.log(gap[redo]) - math.log(norm)
+        try:
+            with np.errstate(over="raise"):
+                value[redo] = np.exp(log_value + root[redo])
+        except FloatingPointError:  # the exponential grows fastest at the largest E
+            raise InvalidArgs(
+                f"tail density at N = {N}, E = {float(energies.max())!r} "
+                "is beyond float range"
+            ) from None
     return float(value) if np.isscalar(E) else value

@@ -19,49 +19,83 @@ Conventions shared by all subcommands:
 from __future__ import annotations
 
 import functools
+import importlib
 import json
 import math
 import sys
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import click
-import numpy as np
 
-from .analytic import (
-    gaussian_density_tfim,
-    gaussian_density_two_fields,
-    saddle_density_extensive,
-    tail_density_critical,
-)
-from .blocks import block_census, degeneracy_census
-from .curves import (
-    ComparisonReport,
-    DensityCurve,
-    compare,
-    histogram,
-    kernel_density,
-    read_curve_csv,
-    write_curve_csv,
-)
 from .errors import EmptySpectrum, InvalidArgs, IsingError
-from .fermion import enumerate_spectrum
-from .model import (
-    IsingParams,
-    ManyBodySpectrum,
-    abscissa_scale,
-    analytic_moments,
-    exact_spectrum,
-    numeric_moments,
-)
-from .peaks import (
-    GaussianMixture,
-    generic_alpha_components,
-    small_lambda_components,
-    strong_field_components,
-    tfim_mixture_components,
-    visibility_Nmax,
-)
-from .table import SPECTRUM_HEADER, Table, open_text, read_table, write_table
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .model import IsingParams, ManyBodySpectrum
+    from .peaks import GaussianMixture
+    from .table import Table
+
+# The library names the commands call, by home module.  A command binds the
+# names of the modules it runs into this module's globals (``_load``) before
+# using them, so ``--help``, usage errors and each subcommand import only
+# what they need; ``__getattr__`` resolves the same names from outside.
+_NAMES = {
+    "model": (
+        "IsingParams",
+        "ManyBodySpectrum",
+        "abscissa_scale",
+        "analytic_moments",
+        "exact_spectrum",
+        "numeric_moments",
+    ),
+    "table": ("SPECTRUM_HEADER", "open_text", "read_table", "write_table"),
+    "fermion": ("enumerate_spectrum",),
+    "curves": (
+        "ComparisonReport",
+        "DensityCurve",
+        "compare",
+        "histogram",
+        "kernel_density",
+        "read_curve_csv",
+        "write_curve_csv",
+    ),
+    "analytic": (
+        "gaussian_density_tfim",
+        "gaussian_density_two_fields",
+        "saddle_density_extensive",
+        "tail_density_critical",
+    ),
+    "peaks": (
+        "generic_alpha_components",
+        "small_lambda_components",
+        "strong_field_components",
+        "tfim_mixture_components",
+        "visibility_Nmax",
+    ),
+    "blocks": ("block_census", "degeneracy_census"),
+}
+_HOMES = {name: home for home, names in _NAMES.items() for name in names}
+
+
+def _load(*homes: str) -> None:
+    """Bind the names of ``homes`` that are not bound yet (a name replaced
+    from outside, as a tracer does, stays replaced)."""
+    bound = globals()
+    for home in homes:
+        module = importlib.import_module(f".{home}", __package__)
+        for name in _NAMES[home]:
+            if name not in bound:
+                bound[name] = getattr(module, name)
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(home)
+    return globals()[name]
+
 
 _MULTI_KINDS = ("multi-tfim", "multi-strong", "multi-int-alpha", "multi-generic")
 _ANALYTIC_KINDS = ("gaussian", "saddle", "tail")
@@ -104,6 +138,8 @@ def _parse_grid(ctx, param, value):
         raise click.BadParameter(
             f"grid needs at most {_DEFAULT_GRID_MAX_POINTS} points"
         )
+    import numpy as np
+
     return np.linspace(lo, hi, points)
 
 
@@ -179,12 +215,14 @@ def main() -> None:
 @_compute_errors
 def spectrum(model, n, lam, alpha, method, out) -> None:
     """Compute a complete many-body spectrum and write an eigenvalue CSV."""
+    _load("model", "table")
     params = _build_params(model, n, lam, alpha)
     if method == "fermion":
         if params.model != "tfim":
             raise InvalidArgs(
                 "the fermion method applies to the transverse-field model only"
             )
+        _load("fermion")
         result = enumerate_spectrum(n, lam)
     else:
         result = exact_spectrum(params)
@@ -203,6 +241,7 @@ def density(source, bins, kde_sigma, out) -> None:
     """Turn a spectrum CSV into an empirical density curve CSV."""
     if bins is not None and kde_sigma is not None:
         raise click.UsageError("--bins and --kde are mutually exclusive")
+    _load("model", "table", "curves")
     spec = _spectrum_from_table(read_table(source))
     metadata = _params_metadata(spec.params)
     metadata["method"] = spec.method
@@ -216,6 +255,7 @@ def density(source, bins, kde_sigma, out) -> None:
 
 
 def _build_mixture(kind: str, params: IsingParams) -> GaussianMixture:
+    _load("peaks")
     if kind == "multi-tfim":
         if params.alpha != 0.0:
             raise InvalidArgs("multi-tfim requires alpha = 0")
@@ -234,6 +274,8 @@ def _build_mixture(kind: str, params: IsingParams) -> GaussianMixture:
 
 def _default_energy_grid(mixture: GaussianMixture) -> np.ndarray:
     """Span all components with margin, spaced to resolve the narrowest peak."""
+    import numpy as np
+
     sigmas = np.sqrt(mixture.var[mixture.var > 0.0])
     widest = float(sigmas.max()) if sigmas.size else 1.0
     narrowest = float(sigmas.min()) if sigmas.size else 1.0
@@ -246,6 +288,7 @@ def _default_energy_grid(mixture: GaussianMixture) -> np.ndarray:
 
 
 def _analytic_values(kind: str, params: IsingParams, e_grid: np.ndarray) -> np.ndarray:
+    _load("analytic")
     if kind == "gaussian":
         if params.model == "tfim":
             return gaussian_density_tfim(e_grid / params.N, params) / params.N
@@ -283,6 +326,7 @@ def approx(kind, model, n, lam, alpha, grid, per_spin, rescaled, out) -> None:
     if per_spin and rescaled:
         raise click.UsageError("--per-spin and --rescaled are mutually exclusive")
     target = "e" if per_spin else ("eps" if rescaled else "E")
+    _load("model", "table", "curves")
     params = _build_params(model, n, lam, alpha)
     metadata = _params_metadata(params)
     metadata["kind"] = kind
@@ -325,6 +369,7 @@ def compare_command(path_a, path_b, out) -> None:
     absolute difference, sup = max); curve inputs are compared as densities
     with peak matching.
     """
+    _load("model", "table", "curves")
     table_a, table_b = read_table(path_a), read_table(path_b)
     if table_a.kind != table_b.kind:
         raise InvalidArgs(
@@ -340,6 +385,8 @@ def compare_command(path_a, path_b, out) -> None:
             )
         if len(spec_a.energies) == 0:
             raise EmptySpectrum("cannot compare empty spectra")
+        import numpy as np
+
         diff = np.abs(np.sort(spec_a.energies) - np.sort(spec_b.energies))
         report = ComparisonReport(
             l1=float(np.mean(diff)),
@@ -361,6 +408,7 @@ def compare_command(path_a, path_b, out) -> None:
 @_compute_errors
 def census(n, alpha, out) -> None:
     """Write the block-count table, or the degeneracy classes at rational alpha."""
+    _load("blocks", "table")
     if alpha is None:
         result = block_census(n)
         table = {**result.polarized, **result.table}
@@ -384,6 +432,7 @@ def census(n, alpha, out) -> None:
 @_compute_errors
 def moments(model, n, lam, alpha, max_order, out) -> None:
     """Tabulate numeric (dense-trace) vs analytic moments up to max order."""
+    _load("model", "table")
     params = _build_params(model, n, lam, alpha)
     analytic = analytic_moments(params)
     numeric = numeric_moments(exact_spectrum(params), max_order=max_order)
@@ -401,6 +450,7 @@ def moments(model, n, lam, alpha, max_order, out) -> None:
 @_compute_errors
 def visibility(regime, lam, alpha) -> None:
     """Print the largest ring size with resolved peaks for a regime."""
+    _load("peaks")
     result = visibility_Nmax(lam, alpha, regime)
     suffix = " (order of magnitude)" if result.order_of_magnitude else ""
     click.echo(f"{result.n_max!r}{suffix}")

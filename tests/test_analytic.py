@@ -291,6 +291,30 @@ def test_tail_density_critical_on_an_array() -> None:
         tail_density_critical(energies, N)
 
 
+@pytest.mark.parametrize(
+    "N, energies",
+    [
+        (1200, [-1500.0, -1250.0, -1000.0]),  # 2**-N underflows on its own
+        (1000, [-300.0, -250.0]),  # exp(...) overflows on its own
+    ],
+)
+def test_tail_density_critical_beyond_the_factors_float_range(N, energies) -> None:
+    E_gs = N * ground_state_energy_per_spin(1.0)
+    expected = [
+        math.exp(
+            -N * math.log(2.0)
+            - 0.75 * math.log(E - E_gs)
+            - 0.5 * math.log(8 * math.sqrt(6 * math.pi) * N)
+            + math.sqrt(math.pi * N * (E - E_gs) / 6)
+        )
+        for E in energies
+    ]
+    values = tail_density_critical(np.array(energies), N)
+    assert np.all(values > 0.0)
+    np.testing.assert_allclose(values, expected, rtol=1e-12, atol=0)
+    assert tail_density_critical(energies[0], N) == values[0]
+
+
 def test_tail_density_critical_stretched_exponential_doubling() -> None:
     """log of (rho corrected for its algebraic prefactor) scales as sqrt(E - E_gs)."""
     N = 12

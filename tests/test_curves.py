@@ -4,10 +4,6 @@ from __future__ import annotations
 
 import io
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
-import ising_density
 from ising_density import table
 from ising_density.curves import (
     PEAK_PROMINENCE_FRACTION,
@@ -273,30 +268,15 @@ def test_curve_peaks_follow_scipy_find_peaks(values: list[float]) -> None:
     np.testing.assert_array_equal(curve_peaks(curve), np.asarray(expected, dtype=float))
 
 
-def test_compare_curves_cli_does_not_import_scipy(tmp_path) -> None:
+def test_compare_curves_cli_does_not_import_scipy(tmp_path, run_cli) -> None:
     grid = np.linspace(-3.0, 3.0, 61)
     for name, shift in (("a.csv", 0.0), ("b.csv", 0.2)):
         write_curve_csv(
             DensityCurve(grid, np.exp(-((grid - shift) ** 2))), str(tmp_path / name)
         )
-    script = (
-        "import sys\n"
-        "from ising_density.cli import main\n"
-        "main(args=['compare', '--a', 'a.csv', '--b', 'b.csv', '--out', 'r.json'],"
-        " standalone_mode=False)\n"
-        "print('scipy' in sys.modules)\n"
-    )
-    package_root = str(Path(ising_density.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    result = run_cli("compare", "--a", "a.csv", "--b", "b.csv", "--out", "r.json")
+    assert result.returncode == 0, result.stderr
+    assert "scipy" not in result.modules
     assert (tmp_path / "r.json").exists()
 
 
