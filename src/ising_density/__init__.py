@@ -13,7 +13,8 @@ import importlib
 
 __version__ = "0.1.0"
 
-# Every public name by home module.  Names resolve on first access, so
+# Every public name by home module: the one list of them, which ``cli``
+# also binds its commands' names from.  Names resolve on first access, so
 # importing the package (or the CLI through it) loads no compute module
 # and no numpy until one is used.
 _NAMES = {

@@ -43,8 +43,6 @@ Error bound: entropy and curvature agree with the next-lower rule to
 1e-13 max(1, |value|), and the equation is solved to 1e-13 max(1, |beta|) or
 to rounding, so rho = A exp(N S) carries a relative error of about
 1e-13 (N max(1, |S|) + 1/2) from the quadrature plus the rounding of e.
-On the 701-point grids of the benchmark the densities stayed within
-1.8e-15 relative of the per-point bisection this solve replaced.
 
 With a longitudinal field the bulk density in the rescaled energy
 eps = E / sqrt(N (1 + lambda^2 + alpha^2)) acquires a cubic correction
@@ -75,10 +73,9 @@ from .errors import (
     OutOfSupport,
 )
 from .model import IsingParams, abscissa_scale
-from .quadrature import _MAX_ORDER, _leggauss, g_phi, integrate_phi
+from .quadrature import _MAX_ORDER, _MIN_ORDER, _leggauss, g_phi, integrate_phi
 
 _TWO_PI = 2.0 * math.pi
-_MIN_ORDER = 16
 _STEP_TOL = 1e-13
 # A residual within 16 ulps of its target is at the rounding floor of the
 # node sum (measured at most 2.2 ulps at orders 64 and 128), so Newton stops

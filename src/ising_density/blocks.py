@@ -26,8 +26,9 @@ classes, counted per (n, k) cell over all its configurations:
 with m = N - n, comp(j, r) the number of compositions of j into r positive
 parts, A(x, k) = comp(x-1, k) and B(x, k) = comp(x-1, k-1).  N1 and N2
 count length-1 and length-2 up-blocks over all compositions of n into k
-parts; their boundary values follow from the generating-function
-coefficient of weak compositions rather than the binomial shorthand.
+parts: fixing one of the k parts at length 1 (or 2) leaves a composition of
+n-1 (or n-2) into k-1 parts, so N1 = k comp(n-1, k-1) and
+N2 = k comp(n-2, k-1), with comp(0, 0) = 1 covering k = 1.
 """
 
 from __future__ import annotations
@@ -50,15 +51,6 @@ def _comp(j: int, r: int) -> int:
     if j < 1 or r < 1:
         return 0
     return comb(j - 1, r - 1)
-
-
-def _weak_comp(j: int, r: int) -> int:
-    """Weak compositions (parts >= 0) of j into r parts: C(j+r-1, r-1)."""
-    if r == 0:
-        return 1 if j == 0 else 0
-    if j < 0:
-        return 0
-    return comb(j + r - 1, r - 1)
 
 
 def _validate_cell(N: int, n: int, k: int) -> None:
@@ -96,7 +88,7 @@ def _f_count(N: int, n: int, k: int) -> int:
     """f_count of a cell already known to be valid."""
     if k == 0:
         return 1
-    numerator = N * comb(n - 1, k - 1) * comb(N - n - 1, k - 1)
+    numerator = N * _comp(n, k) * _comp(N - n, k)
     assert numerator % k == 0
     return numerator // k
 
@@ -112,14 +104,14 @@ def count_N1(n: int, k: int) -> int:
     """Total number of length-1 parts over all compositions of n into k parts."""
     if k < 1 or n < k:
         raise InvalidArgs(f"compositions need 1 <= k <= n, got n={n}, k={k}")
-    return k * _weak_comp(n - k, k - 1)
+    return k * _comp(n - 1, k - 1)
 
 
 def count_N2(n: int, k: int) -> int:
     """Total number of length-2 parts over all compositions of n into k parts."""
     if k < 1 or n < k:
         raise InvalidArgs(f"compositions need 1 <= k <= n, got n={n}, k={k}")
-    return k * _weak_comp(n - k - 1, k - 1)
+    return k * _comp(n - 2, k - 1)
 
 
 def _require_partition(N: int, n: int, m: int, k: int) -> None:
@@ -239,14 +231,16 @@ class BruteForceCensus:
     classes_alpha1: dict[int, int] = field(repr=False)
 
 
-def brute_force_census(N: int, max_sites: int = BRUTE_FORCE_MAX_SITES) -> BruteForceCensus:
+def brute_force_census(N: int) -> BruteForceCensus:
     """Scan every length-N binary string and tabulate everything exactly.
 
     Independent of the closed-form counts: block structure is read off each
     string via bit operations, transitions by flipping each adjacent pair.
     """
-    if N > max_sites:
-        raise CapExceeded(f"brute-force census scans 2^N strings; N={N} > {max_sites}")
+    if N > BRUTE_FORCE_MAX_SITES:
+        raise CapExceeded(
+            f"brute-force census scans 2^N strings; N={N} > {BRUTE_FORCE_MAX_SITES}"
+        )
     if N < 2:
         raise InvalidArgs(f"ring size must be >= 2, got N={N}")
     size = 1 << N

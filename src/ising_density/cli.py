@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Callable
 
 import click
 
+from . import _HOMES, _NAMES
 from .errors import EmptySpectrum, InvalidArgs, IsingError
 
 if TYPE_CHECKING:
@@ -36,51 +37,16 @@ if TYPE_CHECKING:
     from .peaks import GaussianMixture
     from .table import Table
 
-# The library names the commands call, by home module.  A command binds the
-# names of the modules it runs into this module's globals (``_load``) before
-# using them, so ``--help``, usage errors and each subcommand import only
-# what they need; ``__getattr__`` resolves the same names from outside.
-_NAMES = {
-    "model": (
-        "IsingParams",
-        "ManyBodySpectrum",
-        "abscissa_scale",
-        "analytic_moments",
-        "exact_spectrum",
-        "numeric_moments",
-    ),
-    "table": ("SPECTRUM_HEADER", "open_text", "read_table", "write_table"),
-    "fermion": ("enumerate_spectrum",),
-    "curves": (
-        "ComparisonReport",
-        "DensityCurve",
-        "compare",
-        "histogram",
-        "kernel_density",
-        "read_curve_csv",
-        "write_curve_csv",
-    ),
-    "analytic": (
-        "gaussian_density_tfim",
-        "gaussian_density_two_fields",
-        "saddle_density_extensive",
-        "tail_density_critical",
-    ),
-    "peaks": (
-        "generic_alpha_components",
-        "small_lambda_components",
-        "strong_field_components",
-        "tfim_mixture_components",
-        "visibility_Nmax",
-    ),
-    "blocks": ("block_census", "degeneracy_census"),
-}
-_HOMES = {name: home for home, names in _NAMES.items() for name in names}
-
 
 def _load(*homes: str) -> None:
-    """Bind the names of ``homes`` that are not bound yet (a name replaced
-    from outside, as a tracer does, stays replaced)."""
+    """Bind into this module the package's public names (``_NAMES``) of
+    ``homes`` that are not bound yet.
+
+    A command loads the modules it runs before calling their names, so
+    ``--help``, usage errors and each subcommand import only what they need.
+    A name replaced from outside, as a tracer does, stays replaced;
+    ``__getattr__`` resolves the same names from outside.
+    """
     bound = globals()
     for home in homes:
         module = importlib.import_module(f".{home}", __package__)
@@ -174,17 +140,15 @@ def _spectrum_from_table(table: Table) -> ManyBodySpectrum:
         lam = float(metadata["lambda"])
         alpha = float(metadata.get("alpha", "0.0"))
         method = metadata.get("method", "dense")
-    except (KeyError, ValueError) as exc:
+        params = IsingParams(N=n, lam=lam, alpha=alpha, model=model)
+        return ManyBodySpectrum(energies=table.columns[1], method=method, params=params)
+    except (KeyError, ValueError, InvalidArgs) as exc:
         raise InvalidArgs(f"malformed spectrum CSV {table.source}: {exc}") from exc
-    params = (
-        IsingParams.tfim(n, lam)
-        if model == "tfim"
-        else IsingParams.two_field(n, lam, alpha)
-    )
-    return ManyBodySpectrum(energies=table.columns[1], method=method, params=params)
 
 
 def _write_json(path: str, payload: dict) -> None:
+    from .table import open_text
+
     with open_text(path, "w") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
@@ -215,7 +179,9 @@ def main() -> None:
 @_compute_errors
 def spectrum(model, n, lam, alpha, method, out) -> None:
     """Compute a complete many-body spectrum and write an eigenvalue CSV."""
-    _load("model", "table")
+    from .table import SPECTRUM_HEADER, write_table
+
+    _load("model")
     params = _build_params(model, n, lam, alpha)
     if method == "fermion":
         if params.model != "tfim":
@@ -241,7 +207,9 @@ def density(source, bins, kde_sigma, out) -> None:
     """Turn a spectrum CSV into an empirical density curve CSV."""
     if bins is not None and kde_sigma is not None:
         raise click.UsageError("--bins and --kde are mutually exclusive")
-    _load("model", "table", "curves")
+    from .table import read_table
+
+    _load("model", "curves")
     spec = _spectrum_from_table(read_table(source))
     metadata = _params_metadata(spec.params)
     metadata["method"] = spec.method
@@ -326,7 +294,7 @@ def approx(kind, model, n, lam, alpha, grid, per_spin, rescaled, out) -> None:
     if per_spin and rescaled:
         raise click.UsageError("--per-spin and --rescaled are mutually exclusive")
     target = "e" if per_spin else ("eps" if rescaled else "E")
-    _load("model", "table", "curves")
+    _load("model", "curves")
     params = _build_params(model, n, lam, alpha)
     metadata = _params_metadata(params)
     metadata["kind"] = kind
@@ -369,7 +337,9 @@ def compare_command(path_a, path_b, out) -> None:
     absolute difference, sup = max); curve inputs are compared as densities
     with peak matching.
     """
-    _load("model", "table", "curves")
+    from .table import read_table
+
+    _load("model", "curves")
     table_a, table_b = read_table(path_a), read_table(path_b)
     if table_a.kind != table_b.kind:
         raise InvalidArgs(
@@ -408,7 +378,9 @@ def compare_command(path_a, path_b, out) -> None:
 @_compute_errors
 def census(n, alpha, out) -> None:
     """Write the block-count table, or the degeneracy classes at rational alpha."""
-    _load("blocks", "table")
+    from .table import write_table
+
+    _load("blocks")
     if alpha is None:
         result = block_census(n)
         table = {**result.polarized, **result.table}
@@ -432,7 +404,9 @@ def census(n, alpha, out) -> None:
 @_compute_errors
 def moments(model, n, lam, alpha, max_order, out) -> None:
     """Tabulate numeric (dense-trace) vs analytic moments up to max order."""
-    _load("model", "table")
+    from .table import write_table
+
+    _load("model")
     params = _build_params(model, n, lam, alpha)
     analytic = analytic_moments(params)
     numeric = numeric_moments(exact_spectrum(params), max_order=max_order)

@@ -26,6 +26,8 @@ PEAK_PROMINENCE_FRACTION = 0.01
 KDE_LATTICE_STEP = math.sqrt(8.0) * 1e-3
 # KDE window half-width in bandwidths: the kernel outside it is < e^{-81/2} K(0).
 KDE_WINDOW = 9.0
+# Grid points of a kernel density estimate.
+KDE_POINTS = 1001
 # Levels binned per pass, which bounds the binning's temporaries to about 9 MB.
 KDE_CHUNK = 1 << 16
 
@@ -112,12 +114,10 @@ def histogram(
     return DensityCurve(grid, values)
 
 
-def kernel_density(
-    spectrum: ManyBodySpectrum, bandwidth: float, points: int = 1001
-) -> DensityCurve:
+def kernel_density(spectrum: ManyBodySpectrum, bandwidth: float) -> DensityCurve:
     """Gaussian-kernel density of a spectrum on a uniform grid.
 
-    The grid is ``linspace(min E - 8h, max E + 8h, points)``.  The energies
+    The grid is ``linspace(min E - 8h, max E + 8h, KDE_POINTS)``.  The energies
     are binned linearly onto a lattice r times finer than the grid, with
     lattice step delta <= KDE_LATTICE_STEP * h, and each grid node sums the
     lattice inside its +-9h window against one tabulated kernel (Silverman
@@ -130,7 +130,7 @@ def kernel_density(
     The lattice stops refining where delta would fall below 2^-52 of the
     grid's span: below that resolution binning moves no energy further than
     rounding the grid already does.  Only lattice nodes inside some window
-    are stored, so time and memory are O(levels + points * L), where
+    are stored, so time and memory are O(levels + KDE_POINTS * L), where
     L = floor(9h / delta) is the window's half-width in lattice steps: under
     6400 unless the grid alone is finer than KDE_LATTICE_STEP * h.
     """
@@ -139,28 +139,26 @@ def kernel_density(
         raise EmptySpectrum("cannot smooth an empty spectrum")
     if not 0 < bandwidth < math.inf:
         raise InvalidArgs(f"bandwidth must be positive and finite, got {bandwidth}")
-    if points < 2:
-        raise InvalidArgs(f"need at least 2 grid points, got {points}")
     peak = 1.0 / (bandwidth * math.sqrt(2.0 * math.pi))
     if peak == math.inf:
         raise InvalidArgs(f"bandwidth {bandwidth} is so narrow that the kernel overflows")
     lo = float(energies.min()) - 8.0 * bandwidth
     hi = float(energies.max()) + 8.0 * bandwidth
-    grid = np.linspace(lo, hi, points)
+    grid = np.linspace(lo, hi, KDE_POINTS)
     if not np.all(np.diff(grid) > 0):
         raise InvalidArgs(
-            f"bandwidth {bandwidth} cannot span [{lo}, {hi}] with {points} "
+            f"bandwidth {bandwidth} cannot span [{lo}, {hi}] with {KDE_POINTS} "
             "distinct grid points"
         )
-    spacing = (hi - lo) / (points - 1)
-    finest = 2**52 // (points - 1)
+    spacing = (hi - lo) / (KDE_POINTS - 1)
+    finest = 2**52 // (KDE_POINTS - 1)
     if spacing >= finest * KDE_LATTICE_STEP * bandwidth:
         refine = finest
     else:
         refine = math.ceil(spacing / (KDE_LATTICE_STEP * bandwidth))
     step = spacing / refine
     half = math.floor(KDE_WINDOW * bandwidth / step)
-    lattice, stride = _window_lattice(energies, lo, step, refine, half, points)
+    lattice, stride = _window_lattice(energies, lo, step, refine, half)
     windows = np.lib.stride_tricks.sliding_window_view(lattice, 2 * half + 1)
     offsets = np.arange(-half, half + 1) * step / bandwidth
     kernel = np.exp(-0.5 * offsets * offsets)
@@ -169,7 +167,7 @@ def kernel_density(
 
 
 def _window_lattice(
-    energies: np.ndarray, lo: float, step: float, refine: int, half: int, points: int
+    energies: np.ndarray, lo: float, step: float, refine: int, half: int
 ) -> tuple[np.ndarray, int]:
     """Linear binning of the energies onto the lattice lo + m * step.
 
@@ -180,10 +178,10 @@ def _window_lattice(
     distance ``stride`` between grid nodes in it.
     """
     stride = min(refine, 2 * half + 1)
-    lattice = np.zeros((points - 1) * stride + 2 * half + 1)
+    lattice = np.zeros((KDE_POINTS - 1) * stride + 2 * half + 1)
     for start in range(0, len(energies), KDE_CHUNK):
         position = (energies[start : start + KDE_CHUNK] - lo) / step
-        position = np.clip(position, 0.0, refine * (points - 1))
+        position = np.clip(position, 0.0, refine * (KDE_POINTS - 1))
         below = np.floor(position)
         upper = position - below
         j, o = np.divmod(np.concatenate([below, below + 1]).astype(np.int64), refine)

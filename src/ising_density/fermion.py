@@ -79,16 +79,14 @@ def _sector_levels(energies: np.ndarray, keep_even: bool) -> np.ndarray:
     return sums[mask]
 
 
-def enumerate_spectrum(
-    N: int, lam: float, max_sites: int = DEFAULT_MAX_SITES
-) -> ManyBodySpectrum:
+def enumerate_spectrum(N: int, lam: float) -> ManyBodySpectrum:
     """Exact sorted 2^N spectrum from the free-fermion sector rules."""
     if N % 2 != 0:
         raise OddN(f"free-fermion enumeration requires even N, got {N}")
-    if N > max_sites:
+    if N > DEFAULT_MAX_SITES:
         raise CapExceeded(
             f"enumerate_spectrum materializes 2^N energies; N={N} exceeds "
-            f"cap {max_sites}"
+            f"cap {DEFAULT_MAX_SITES}"
         )
     size = abs(lam)
     even = one_particle_energy(size, momentum_grid(N, "even"))

@@ -59,27 +59,6 @@ from .errors import (
 from .fermion import momentum_grid, one_particle_energy
 from .quadrature import g_phi, integrate_phi
 
-__all__ = [
-    "XX_PROJECTION_MAX_SITES",
-    "GaussianMixture",
-    "MixtureComponent",
-    "Visibility",
-    "XXProjectionReport",
-    "generic_alpha_components",
-    "mean_one_particle_energy",
-    "small_lambda_components",
-    "small_lambda_deltaE",
-    "small_lambda_deltaE_R",
-    "small_lambda_ER",
-    "small_lambda_sigmaR",
-    "strong_field_components",
-    "strong_field_moments",
-    "tfim_fixed_n_moments",
-    "tfim_mixture_components",
-    "visibility_Nmax",
-    "xx_projection_check",
-]
-
 XX_PROJECTION_MAX_SITES = 12
 
 _WEIGHT_TOL = 1e-12
@@ -443,11 +422,12 @@ def _unit_alpha_classes(N: int) -> _ClassTable:
     cell_labels, brackets = [], []
     for n, k in cells(N):
         m, R = N - n, 2 * k - n
+        f = _f_count(N, n, k)
         moves = _count_Na(N, n, m, k) + _count_Nb(N, n, m, k) + _count_Nc(N, n, m, k)
-        sums[R][0] += _f_count(N, n, k)
+        sums[R][0] += f
         sums[R][2] += moves
         if k > 0:
-            sums[R][1] += math.comb(n - 1, k - 1) * math.comb(m - 1, k - 1)
+            sums[R][1] += f * k // N
             cell_labels.append(R)
             brackets.append(_shift_bracket(n, m, k, 1.0))
     labels = sorted(sums)
@@ -493,7 +473,7 @@ def _class_shifts(table: _ClassTable, N: int, lam: float) -> np.ndarray:
         pref = 2.0 * lam**2 * N / (1.0 + lam**2) ** 2  # small_lambda_deltaE's, alpha = 1
     except OverflowError:
         raise beyond_float_range("the class shift prefactor", lam, 1.0) from None
-    # bincount adds each class's cell shifts in cells(N) order, as sum() did.
+    # bincount adds each class's cell shifts in cells(N) order.
     total = np.bincount(table.cell_rows, pref * table.brackets, len(table.R))
     return total / table.sums[:, 0]
 

@@ -502,6 +502,30 @@ class TestFileErrors:
         ])
         self.assert_file_error(result, bad)
 
+    @pytest.mark.parametrize("edit", [
+        ("# model = tfim", "# model = foo"),
+        ("# alpha = 0.0", "# alpha = 0.7"),
+        ("# method = dense", "# method = foo"),
+    ], ids=["unknown-model", "tfim-with-alpha", "unknown-method"])
+    @pytest.mark.parametrize("command", ["density", "compare"])
+    def test_invalid_spectrum_metadata(self, runner, tmp_path, edit, command):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        run_ok(runner, [
+            "spectrum", "--model", "tfim", "--n", "4", "--lambda", "0.5",
+            "--out", str(good),
+        ])
+        text = good.read_text()
+        assert edit[0] in text
+        bad.write_text(text.replace(*edit))
+        out = tmp_path / "out"
+        args = (
+            ["density", "--in", str(bad), "--bins", "8"]
+            if command == "density"
+            else ["compare", "--a", str(good), "--b", str(bad)]
+        )
+        self.assert_file_error(runner.invoke(main, [*args, "--out", str(out)]), bad)
+        assert not out.exists()
+
 
 class TestCensus:
     def test_block_table_column_sums(self, runner, tmp_path):

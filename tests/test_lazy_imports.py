@@ -108,6 +108,9 @@ def test_tracer_names_resolve_on_cli_to_their_home_objects():
     for name, span in _load_tracer().CLI_CALLS.items():
         home = importlib.import_module(f"ising_density.{span.split('.')[0]}")
         assert getattr(cli, name) is getattr(home, name), name
+    for name in ising_density.__all__:
+        home = importlib.import_module(getattr(ising_density, name).__module__)
+        assert getattr(cli, name) is getattr(home, name), name
     with pytest.raises(AttributeError):
         cli.no_such_name
 
