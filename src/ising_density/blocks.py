@@ -53,9 +53,21 @@ def _comp(j: int, r: int) -> int:
     return comb(j - 1, r - 1)
 
 
-def _validate_cell(N: int, n: int, k: int) -> None:
+def _require_ring(N: int) -> None:
     if N < 2:
         raise InvalidArgs(f"ring size must be >= 2, got N={N}")
+
+
+def _require_transition_ring(N: int) -> None:
+    # On the two-site ring both bonds join the same pair of spins, and the
+    # transition counts N_a, N_b and N_c, which treat bonds as distinct,
+    # miss flips that a scan of all strings finds.
+    if N < 3:
+        raise InvalidArgs(f"transition counts need a ring of N >= 3, got N={N}")
+
+
+def _validate_cell(N: int, n: int, k: int) -> None:
+    _require_ring(N)
     if not 0 <= n <= N:
         raise InvalidArgs(f"up-spin count must satisfy 0 <= n <= N, got n={n}")
     if k == 0:
@@ -126,18 +138,21 @@ def _require_partition(N: int, n: int, m: int, k: int) -> None:
 def count_Na(N: int, n: int, m: int, k: int) -> int:
     """E0-conserving flips of a whole 2-up-block: (n, k) -> (n-2, k-1)."""
     _require_partition(N, n, m, k)
+    _require_transition_ring(N)
     return _count_Na(N, n, m, k)
 
 
 def count_Nb(N: int, n: int, m: int, k: int) -> int:
     """E0-conserving flips of an interior down-pair: (n, k) -> (n+2, k+1)."""
     _require_partition(N, n, m, k)
+    _require_transition_ring(N)
     return _count_Nb(N, n, m, k)
 
 
 def count_Nc(N: int, n: int, m: int, k: int) -> int:
     """E0-conserving flips of an up-down boundary pair: (n, k) -> (n, k)."""
     _require_partition(N, n, m, k)
+    _require_transition_ring(N)
     return _count_Nc(N, n, m, k)
 
 
@@ -169,6 +184,7 @@ class BlockCensus:
 
 
 def block_census(N: int) -> BlockCensus:
+    _require_ring(N)
     table = {
         (n, k): f_count(N, n, k) for n, k in cells(N, include_polarized=False)
     }
@@ -241,8 +257,7 @@ def brute_force_census(N: int) -> BruteForceCensus:
         raise CapExceeded(
             f"brute-force census scans 2^N strings; N={N} > {BRUTE_FORCE_MAX_SITES}"
         )
-    if N < 2:
-        raise InvalidArgs(f"ring size must be >= 2, got N={N}")
+    _require_ring(N)
     size = 1 << N
     mask = size - 1
     b = np.arange(size, dtype=np.int64)

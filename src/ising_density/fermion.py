@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .errors import CapExceeded, InvalidArgs, OddN
+from .errors import CapExceeded, InvalidArgs, OddN, beyond_float_range
 from .model import IsingParams, ManyBodySpectrum
 from .quadrature import g_phi
 
@@ -88,9 +88,14 @@ def enumerate_spectrum(N: int, lam: float) -> ManyBodySpectrum:
             f"enumerate_spectrum materializes 2^N energies; N={N} exceeds "
             f"cap {DEFAULT_MAX_SITES}"
         )
-    size = abs(lam)
+    params = IsingParams.tfim(N, lam)
+    size = abs(params.lam)
     even = one_particle_energy(size, momentum_grid(N, "even"))
     odd = one_particle_energy(size, momentum_grid(N, "odd"))
+    # Levels lie within half the dispersion's sum, which lambda^2 overflows
+    # from |lambda| ~ 1e154 on.
+    if not math.isfinite(even.sum() + odd.sum()):
+        raise beyond_float_range("the free-fermion dispersion", params.lam, 0.0)
     energies = np.concatenate(
         [
             _sector_levels(even, keep_even=True),
@@ -98,6 +103,4 @@ def enumerate_spectrum(N: int, lam: float) -> ManyBodySpectrum:
         ]
     )
     energies.sort()
-    return ManyBodySpectrum(
-        energies=energies, method="fermion", params=IsingParams.tfim(N, lam)
-    )
+    return ManyBodySpectrum(energies=energies, method="fermion", params=params)

@@ -162,52 +162,83 @@ def _orbits(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def exact_spectrum(
     params: IsingParams, max_bytes: int = DEFAULT_MAX_BYTES
 ) -> ManyBodySpectrum:
-    """All 2^N eigenvalues, sorted, by diagonalizing H in momentum blocks.
+    """All 2^N eigenvalues, sorted, by diagonalizing H in real momentum blocks.
 
     H commutes with T, so the momentum states |a(k)> ~ sum_r e^{-ikr} T^r |a>,
     one per representative a with k R_a = 0 (mod 2 pi), block-diagonalize it.
     A term of amplitude h taking a to T^l c adds h e^{ikl} sqrt(R_a / R_c) to
     <c(k)|H|a(k)> (Sandvik, arXiv:1101.3281, sec. 4).  H is real, so momenta
     k and -k share their levels and only k = 0 .. N/2 are diagonalized.
+
+    Each block is solved as a real symmetric matrix.  The reflection P (bit
+    reversal) obeys P T P = T^-1, so P times complex conjugation K is an
+    antiunitary symmetry of H that maps each k block to itself:
+    PK |a(k)> = e^{ikl} |a'(k)> where P a = T^l a'.  With the phased states
+    |~a> = e^{ikl/2} |a(k)>, taking l from the smaller of a and a' for both,
+    PK swaps |~a> and |~a'>.  So |~a> for a = a' and, for a pair,
+    (|~a> + |~a'>) / sqrt(2) and i (|~a> - |~a'>) / sqrt(2) form a PK-invariant
+    basis of the same size, in which H is real.  Each term scatters into at
+    most four real entries of that basis.
     """
-    N = params.N
+    N, lam, alpha = params.N, params.lam, params.alpha
+    # Gershgorin: every level lies within N (1 + |lambda| + |alpha|) of 0.
+    if not math.isfinite(N * (1.0 + abs(lam) + abs(alpha))):
+        raise beyond_float_range("the Hamiltonian", lam, alpha)
     dim = 1 << N
-    # Orbit tables and term arrays take about 160 bytes per state.  A complex
-    # block is held twice during its solve (eigvalsh works on a copy), and the
-    # k = 0 block holds every orbit, at least 2^N / N of them.
-    needed = max(160 * dim, 32 * (dim // N) ** 2)
+    # Orbit tables and term arrays take about 160 bytes per state.  A block is
+    # held twice during its solve (eigvalsh works on a copy), and the k = 0
+    # block holds every orbit, at least 2^N / N of them.
+    needed = max(160 * dim, 16 * (dim // N) ** 2)
     _check_cap(f"diagonalizing N={N} in momentum blocks", needed, max_bytes)
     rep, shift, period = _orbits(N)
     reps = np.flatnonzero(rep == np.arange(dim))
     R = period[reps]
+    index = np.arange(len(reps))
+    mirrored = sum(((reps >> n) & 1) << (N - 1 - n) for n in range(N))
+    mate = np.searchsorted(reps, rep[mirrored])
+    lead, follow = np.minimum(index, mate), np.maximum(index, mate)
+    turn = shift[mirrored][lead]
+    # Coefficients of |~a> on its PK-even (slot 0) and PK-odd (slot 1) states.
+    even = np.where(mate == index, 1.0, math.sqrt(0.5))
+    odd = np.sign(mate - index) * math.sqrt(0.5)
     masks = [(1 << n) | (1 << ((n + 1) % N)) for n in range(N)]
     amps = [-1.0] * N
-    if params.alpha != 0.0:
+    if alpha != 0.0:
         masks += [1 << n for n in range(N)]
-        amps += [-params.alpha] * N
+        amps += [-alpha] * N
     flipped = (reps[:, None] ^ np.array(masks)).ravel()
-    src = np.repeat(np.arange(len(reps)), len(masks))
+    src = np.repeat(index, len(masks))
     dst = np.searchsorted(reps, rep[flipped])
     weight = np.tile(amps, len(reps)) * np.sqrt(R[src] / R[dst])
-    angle = 2.0 * np.pi * shift[flipped] / N
+    angle = 2.0 * np.pi / N * (shift[flipped] + 0.5 * (turn[src] - turn[dst]))
     popcount = sum((reps >> n) & 1 for n in range(N))
-    diagonal = -params.lam * (N - 2 * popcount)
+    diagonal = -lam * (N - 2 * popcount)
     momenta = [(k * R) % N == 0 for k in range(N // 2 + 1)]
     largest = max(int(keep.sum()) for keep in momenta)
-    _check_cap(f"momentum block of dimension {largest}", 32 * largest**2, max_bytes)
+    _check_cap(f"momentum block of dimension {largest}", 16 * largest**2, max_bytes)
     levels = []
     for k, keep in enumerate(momenta):
-        real = 2 * k % N == 0
-        pos = np.cumsum(keep) - 1
+        n, pos = int(keep.sum()), np.cumsum(keep) - 1
         on = keep[src] & keep[dst]
-        values = weight[on] * np.exp(1j * k * angle[on])
-        H = np.diag(diagonal[keep].astype(float if real else complex))
-        np.add.at(H, (pos[dst[on]], pos[src[on]]), values.real if real else values)
+        s, d, w = src[on], dst[on], weight[on]
+        x, y = w * np.cos(k * angle[on]), w * np.sin(k * angle[on])
+        # <row|H|col> = Re(conj(u_row) (x + iy) u_col) for u = even, i odd.
+        rows = (pos[lead[d]], pos[lead[d]], pos[follow[d]], pos[follow[d]])
+        cols = (pos[lead[s]], pos[follow[s]], pos[lead[s]], pos[follow[s]])
+        values = (
+            even[d] * even[s] * x,
+            -even[d] * odd[s] * y,
+            odd[d] * even[s] * y,
+            odd[d] * odd[s] * x,
+        )
+        flat = np.concatenate([r * n + c for r, c in zip(rows, cols)])
+        H = np.bincount(flat, np.concatenate(values), n * n).reshape(n, n)
+        H.flat[:: n + 1] += diagonal[keep]
         try:
             E = np.linalg.eigvalsh(H)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy internal
             raise EigensolverFailure(str(exc)) from exc
-        levels += [E] if real else [E, E]
+        levels += [E] if 2 * k % N == 0 else [E, E]
     energies = np.sort(np.concatenate(levels))
     return ManyBodySpectrum(energies=energies, method="dense", params=params)
 

@@ -40,6 +40,8 @@ from .blocks import (
     _count_Nc,
     _f_count,
     _require_partition,
+    _require_ring,
+    _require_transition_ring,
     cells,
     count_Na,  # noqa: F401  (bench/tracer.py wraps it here)
     count_Nb,  # noqa: F401  (bench/tracer.py wraps it here)
@@ -411,8 +413,7 @@ def _unit_alpha_classes(N: int) -> _ClassTable:
     while 2N 2^N < 2^1024, that is N <= 1013; larger rings are refused before
     the walk.
     """
-    if N < 2:
-        raise InvalidArgs(f"ring size must be >= 2, got N={N}")
+    _require_ring(N)
     if N > _MAX_CLASS_SITES:
         raise CapExceeded(
             f"unit-alpha class sums at N = {N} would leave float range "
@@ -439,14 +440,6 @@ def _unit_alpha_classes(N: int) -> _ClassTable:
         cell_rows=np.searchsorted(labels, cell_labels),
         brackets=np.array(brackets),
     )
-
-
-def _require_transition_ring(N: int) -> None:
-    # On the two-site ring both bonds join the same pair of spins, and the
-    # transition counts N_a, N_b and N_c, which treat bonds as distinct,
-    # miss flips that a scan of all strings finds.
-    if N < 3:
-        raise InvalidArgs(f"transition-count widths need a ring of N >= 3, got N={N}")
 
 
 def _class_value(values_of: Callable, N: int, lam: float, R: int) -> float:
@@ -624,8 +617,7 @@ def generic_alpha_components(
     counts = [f_count(N, a, b) for a, b in pairs]
     mu = alpha * (N - 2 * n) + 4 * k - N
     var = np.zeros(len(pairs))
-    if exact_variance:
-        _require_transition_ring(N)
+    if exact_variance:  # count_Nc refuses the two-site ring
         var[2:] = coupling * np.array(
             [count_Nc(N, a, N - a, b) / f for (a, b), f in zip(pairs[2:], counts[2:])]
         )

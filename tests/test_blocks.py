@@ -176,6 +176,21 @@ def test_transition_count_validation() -> None:
         count_Nc(6, 3, 3, 0)
 
 
+@pytest.mark.parametrize("count", [count_Na, count_Nb, count_Nc])
+def test_transition_counts_refuse_the_two_site_ring(count) -> None:
+    # Both bonds of the N = 2 ring join the same pair of spins: the scan of
+    # all strings finds 4 c-flips in cell (1, 1) where the formula counts 0.
+    assert brute_force_census(2).transitions[(1, 1)]["c"] == 4
+    with pytest.raises(InvalidArgs, match="N=2"):
+        count(2, 1, 1, 1)
+
+
+@pytest.mark.parametrize("N", [1, 0, -3])
+def test_block_census_refuses_rings_below_two_sites(N: int) -> None:
+    with pytest.raises(InvalidArgs, match=f"ring size must be >= 2, got N={N}"):
+        block_census(N)
+
+
 @pytest.mark.parametrize("N", [4, 5, 6, 8])
 def test_transition_counts_match_string_scan(N: int) -> None:
     scanned = scan_transitions(N)

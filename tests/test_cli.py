@@ -123,6 +123,21 @@ class TestSpectrum:
         assert "Traceback" not in result.output
         assert not out.exists()
 
+    def test_huge_but_finite_couplings_give_finite_levels(self, runner, tmp_path):
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_ok(runner, [
+                "spectrum", "--model", "two-field", "--n", "4", "--lambda", "1e300",
+                "--out", str(out),
+            ])
+        _, rows = read_rows(out, "index,energy")
+        energies = [float(r[1]) for r in rows]
+        assert len(energies) == 16
+        assert all(math.isfinite(e) for e in energies)
+        assert energies[0] == pytest.approx(-4e300, rel=1e-12)
+        assert energies[-1] == pytest.approx(4e300, rel=1e-12)
+
     def test_missing_required_option_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, [
             "spectrum", "--model", "tfim", "--lambda", "1",
@@ -338,6 +353,10 @@ class TestApprox:
           "--alpha", "1"], "a class center E_R"),
         (["approx", "--kind", "multi-tfim", "--n", "6", "--lambda", "1e300"],
          "a transverse-field cluster moment"),
+        (["spectrum", "--model", "two-field", "--n", "4", "--lambda", "1e308",
+          "--alpha", "1e308"], "the Hamiltonian"),
+        (["spectrum", "--model", "tfim", "--n", "8", "--lambda", "1e300",
+          "--method", "fermion"], "the free-fermion dispersion"),
     ])
     def test_huge_couplings_are_refused_by_name(self, runner, tmp_path, args, what):
         out = tmp_path / "x.csv"
@@ -536,6 +555,17 @@ class TestCensus:
         for n_text, _, f_text in rows:
             sums[int(n_text)] = sums.get(int(n_text), 0) + int(f_text)
         assert sums == {n: math.comb(6, n) for n in range(7)}
+
+    @pytest.mark.parametrize("n", ["1", "0", "-3"])
+    def test_ring_below_two_sites_is_refused(self, runner, tmp_path, n):
+        out = tmp_path / "census.csv"
+        result = runner.invoke(main, ["census", "--n", n, "--out", str(out)])
+        assert result.exit_code == 1
+        assert json.loads(result.stderr) == {
+            "code": "InvalidArgs",
+            "message": f"ring size must be >= 2, got N={n}",
+        }
+        assert not out.exists()
 
     def test_degeneracy_table(self, runner, tmp_path):
         out = tmp_path / "classes.csv"

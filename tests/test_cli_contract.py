@@ -4,15 +4,18 @@ Whatever the arguments and input files, a command exits 0, exits 1 with
 exactly one JSON line ``{"code": ..., "message": ...}`` on stderr, or exits
 2 with a usage error; it never ends in an uncaught exception.  Inputs cover
 every ``approx`` kind with non-finite and huge couplings (ring sizes up to
-1100 for the two binomial mixtures), and ``density`` / ``compare`` on
-malformed, missing or unreadable CSVs, each with writable and unwritable
-``--out`` paths.
+1100 for the two binomial mixtures); ``spectrum`` by either method and
+``moments`` for both models on small rings; ``census`` on rings from -3 to
+40 sites, with and without a rational ``--alpha``; and ``density`` /
+``compare`` on malformed, missing or unreadable CSVs, each with writable and
+unwritable ``--out`` paths.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import warnings
 
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
@@ -50,6 +53,17 @@ def assert_contract(result) -> None:
         assert len(lines) == 1, result.stderr
         payload = json.loads(lines[0])
         assert set(payload) == {"code", "message"}
+
+
+def invoke_quietly(args):
+    """``invoke`` that also fails on a numpy ``RuntimeWarning``, which a
+    process would print on stderr next to the JSON line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = invoke(args)
+    noise = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not noise, (args, noise)
+    return result
 
 
 def invoke(args, files=None):
@@ -135,6 +149,50 @@ inputs = st.one_of(
 @given(approx_args())
 def test_approx_contract(args):
     assert_contract(invoke(args))
+
+
+def model_args(draw, n):
+    args = ["--model", draw(st.sampled_from(["tfim", "two-field"])),
+            "--n", str(n), "--lambda", draw(numbers)]
+    if draw(st.booleans()):
+        args += ["--alpha", draw(numbers)]
+    return args
+
+
+@CONTRACT
+@given(st.data())
+def test_spectrum_contract(data):
+    draw = data.draw
+    args = ["spectrum", *model_args(draw, draw(st.integers(1, 8)))]
+    args += ["--method", draw(st.sampled_from(["dense", "fermion"]))]
+    assert_contract(invoke_quietly(args + ["--out", draw(outs)]))
+
+
+@CONTRACT
+@given(st.data())
+def test_moments_contract(data):
+    # Rings of 13 to 24 sites take seconds or more to solve; from 25 on the
+    # memory cap refuses them at once.
+    draw = data.draw
+    n = draw(st.one_of(st.integers(-3, 12), st.integers(25, 40)))
+    args = ["moments", *model_args(draw, n)]
+    if draw(st.booleans()):
+        args += ["--max-order", str(draw(st.integers(0, 5)))]
+    assert_contract(invoke_quietly(args + ["--out", draw(outs)]))
+
+
+fractions = st.one_of(
+    numbers, st.sampled_from(["9/10", "-2/3", "1/0", "p/q", ""])
+)
+
+
+@CONTRACT
+@given(st.integers(-3, 40), st.one_of(st.none(), fractions), outs)
+def test_census_contract(n, alpha, out):
+    args = ["census", "--n", str(n), "--out", out]
+    if alpha is not None:
+        args += ["--alpha", alpha]
+    assert_contract(invoke_quietly(args))
 
 
 @CONTRACT

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from ising_density.errors import CapExceeded, InvalidArgs
+from ising_density.fermion import enumerate_spectrum
 from ising_density.model import (
     IsingParams,
     ManyBodySpectrum,
@@ -138,9 +139,10 @@ def test_cap_exceeded() -> None:
 
 def test_cap_counts_the_solver_copy_of_the_largest_block() -> None:
     # At N = 12 the largest block is k = 0, one row per orbit: 352 of them.
-    # eigvalsh works on a copy, so the solve holds the block twice.
+    # Every block is real, 8 bytes per entry, and eigvalsh works on a copy,
+    # so the solve holds the block twice.
     params = IsingParams.tfim(12, 1.0)
-    one_copy = 16 * 352**2
+    one_copy = 8 * 352**2
     with pytest.raises(CapExceeded):
         exact_spectrum(params, max_bytes=3 * one_copy // 2)
     assert len(exact_spectrum(params, max_bytes=2 * one_copy).energies) == 2**12
@@ -162,11 +164,44 @@ def test_cap_counts_the_solver_copy_of_the_largest_block() -> None:
 def test_momentum_blocks_match_dense_oracle(
     N: int, model: str, lam: float, alpha: float
 ) -> None:
-    params = IsingParams(N=N, lam=lam, alpha=alpha, model=model)
+    assert_matches_dense_oracle(IsingParams(N=N, lam=lam, alpha=alpha, model=model))
+
+
+def test_momentum_blocks_match_dense_oracle_at_eleven_sites() -> None:
+    assert_matches_dense_oracle(IsingParams.two_field(11, 0.6, 0.9))
+
+
+def assert_matches_dense_oracle(params: IsingParams) -> None:
     expected = np.linalg.eigvalsh(build_hamiltonian(params))
     energies = exact_spectrum(params).energies
-    assert len(energies) == 2**N
+    assert len(energies) == 2**params.N
     np.testing.assert_allclose(energies, expected, rtol=0.0, atol=1e-11)
+
+
+@pytest.mark.parametrize("lam", [0.7, 1.3])
+def test_momentum_blocks_match_free_fermions_at_twelve_sites(lam: float) -> None:
+    expected = enumerate_spectrum(12, lam).energies
+    energies = exact_spectrum(IsingParams.tfim(12, lam)).energies
+    np.testing.assert_allclose(energies, expected, rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("N", [11, 12])
+@pytest.mark.parametrize("model,lam,alpha", [("tfim", 0.9, 0.0), ("two-field", 0.8, 0.6)])
+def test_every_momentum_block_is_solved_as_a_real_matrix(
+    monkeypatch: pytest.MonkeyPatch, N: int, model: str, lam: float, alpha: float
+) -> None:
+    solve, blocks = np.linalg.eigvalsh, []
+
+    def record(H: np.ndarray) -> np.ndarray:
+        blocks.append((H.dtype, H.shape[0]))
+        return solve(H)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", record)
+    exact_spectrum(IsingParams(N=N, lam=lam, alpha=alpha, model=model))
+    assert [dtype for dtype, _ in blocks] == [np.dtype(np.float64)] * (N // 2 + 1)
+    # The momenta k and -k share a block for 0 < k < N/2.
+    copies = [1 if 2 * k % N == 0 else 2 for k in range(N // 2 + 1)]
+    assert sum(c * n for c, (_, n) in zip(copies, blocks)) == 2**N
 
 
 def test_momentum_blocks_thirteen_sites_complete_with_bulk_moments() -> None:
