@@ -267,6 +267,8 @@ def saddle_density_extensive(
     return saddle_density(E / params.N, params) / params.N
 
 
+# Far out, overflow gives exact zeros, or NaNs that the curve rule refuses.
+@np.errstate(over="ignore", invalid="ignore")
 def gaussian_density_tfim(
     e: float | np.ndarray, params: IsingParams
 ) -> float | np.ndarray:
@@ -283,6 +285,8 @@ def gaussian_density_tfim(
     return float(value) if np.isscalar(e) else value
 
 
+# Far out, overflow gives NaNs (0 * inf) that the curve rule refuses.
+@np.errstate(over="ignore", invalid="ignore")
 def gaussian_density_two_fields(
     E: float | np.ndarray, params: IsingParams, clamp: bool = False
 ) -> float | np.ndarray:

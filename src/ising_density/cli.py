@@ -23,12 +23,13 @@ import importlib
 import json
 import math
 import sys
+import warnings
 from typing import TYPE_CHECKING, Callable
 
 import click
 
 from . import _HOMES, _NAMES
-from .errors import EmptySpectrum, InvalidArgs, IsingError
+from .errors import EmptySpectrum, InvalidArgs, IsingError, NegativeDensityWarning
 
 if TYPE_CHECKING:
     import numpy as np
@@ -96,6 +97,8 @@ def _parse_grid(ctx, param, value):
         lo, hi, points = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise click.BadParameter("expected numeric LO:HI and integer POINTS")
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(hi - lo)):
+        raise click.BadParameter("grid needs finite LO, HI and HI - LO")
     if not hi > lo:
         raise click.BadParameter("grid needs HI > LO")
     if points < 2:
@@ -261,7 +264,9 @@ def _analytic_values(kind: str, params: IsingParams, e_grid: np.ndarray) -> np.n
         if params.model == "tfim":
             return gaussian_density_tfim(e_grid / params.N, params) / params.N
         scale = abscissa_scale(params, "eps")
-        return gaussian_density_two_fields(e_grid, params, clamp=True) / scale
+        with warnings.catch_warnings():  # the negative values are clamped at 0
+            warnings.simplefilter("ignore", NegativeDensityWarning)
+            return gaussian_density_two_fields(e_grid, params, clamp=True) / scale
     if kind == "saddle":
         return saddle_density_extensive(e_grid, params)
     if params.model != "tfim" or params.lam != 1.0:
@@ -298,19 +303,23 @@ def approx(kind, model, n, lam, alpha, grid, per_spin, rescaled, out) -> None:
     params = _build_params(model, n, lam, alpha)
     metadata = _params_metadata(params)
     metadata["kind"] = kind
+    if grid is not None:
+        import numpy as np
+
+        from .curves import _require_grid
+
+        with np.errstate(over="ignore"):  # the node rule refuses what overflows
+            e_grid = grid * abscissa_scale(params, target)
+        _require_grid(e_grid, "--grid scaled to units of E")
     mixture = None
     if kind in _MULTI_KINDS:
         mixture = _build_mixture(kind, params)
-        e_grid = (
-            _default_energy_grid(mixture)
-            if grid is None
-            else grid * abscissa_scale(params, target)
-        )
+        if grid is None:
+            e_grid = _default_energy_grid(mixture)
         curve = mixture.density_curve(e_grid)
     else:
         if grid is None:
             raise click.UsageError(f"--grid is required for kind '{kind}'")
-        e_grid = grid * abscissa_scale(params, target)
         values = _analytic_values(kind, params, e_grid)
         curve = DensityCurve(e_grid, values, abscissa="E")
     if target != "E":
@@ -357,9 +366,11 @@ def compare_command(path_a, path_b, out) -> None:
             raise EmptySpectrum("cannot compare empty spectra")
         import numpy as np
 
-        diff = np.abs(np.sort(spec_a.energies) - np.sort(spec_b.energies))
+        with np.errstate(over="ignore"):  # the report refuses an overflow
+            diff = np.abs(np.sort(spec_a.energies) - np.sort(spec_b.energies))
+            l1 = float(np.mean(diff))
         report = ComparisonReport(
-            l1=float(np.mean(diff)),
+            l1=l1,
             sup=float(np.max(diff)),
             peak_positions=[],
             grids_aligned=True,

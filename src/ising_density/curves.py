@@ -1,11 +1,12 @@
 """Empirical density curves, kernel smoothing, and curve comparison.
 
-A DensityCurve is a sampled density: ascending abscissae, nonnegative
-values normalized to unit total mass (the ``# norm = unit`` line of a
-curve CSV), and an abscissa flag (absolute energy "E", per-spin "e",
-rescaled "eps").  Histograms built with the default range are padded by
-one empty bin on each side, which makes the trapezoidal integral of the
-piecewise-linear curve exactly equal to the bin-mass sum.
+A DensityCurve is a sampled density: finite, strictly ascending abscissae,
+finite nonnegative values normalized to unit total mass (the ``# norm =
+unit`` line of a curve CSV), and an abscissa flag (absolute energy "E",
+per-spin "e", rescaled "eps").  This module owns that rule for every
+sampled curve of the package.  Histograms are padded by one empty bin on
+each side, which makes the trapezoidal integral of the piecewise-linear
+curve exactly equal to the bin-mass sum.
 """
 
 from __future__ import annotations
@@ -32,25 +33,37 @@ KDE_POINTS = 1001
 KDE_CHUNK = 1 << 16
 
 
+def _require_grid(grid: Iterable[float], what: str = "grid") -> np.ndarray:
+    """Return ``grid`` as floats if it keeps the node rule of every sampled
+    curve: 1-D, at least two finite nodes, ``grid[1:] > grid[:-1]``.  That
+    test fails on NaN and leaves any infinity at an end, so only the ends need
+    ``isfinite``.  Steps that can overflow run under ``np.errstate`` and leave
+    their non-finite nodes to this rule; ``what`` names the grid."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or len(grid) < 2:
+        raise InvalidArgs(f"{what} must be a 1-D array of at least two points")
+    if not (np.isfinite(grid[[0, -1]]).all() and np.all(grid[1:] > grid[:-1])):
+        raise InvalidArgs(f"{what} must be finite and strictly ascending")
+    return grid
+
+
 @dataclass(frozen=True)
 class DensityCurve:
-    """A sampled density curve."""
+    """A sampled density curve: nodes under ``_require_grid``'s rule, and
+    finite densities >= -1e-12 (stored clamped at 0)."""
 
     grid: np.ndarray
     values: np.ndarray
     abscissa: str = "E"
 
     def __post_init__(self) -> None:
-        grid = np.asarray(self.grid, dtype=float)
+        grid = _require_grid(self.grid)
         values = np.asarray(self.values, dtype=float)
-        if grid.ndim != 1 or values.ndim != 1 or len(grid) != len(values):
+        if values.shape != grid.shape:
             raise InvalidArgs("grid and values must be 1-D arrays of equal length")
-        if len(grid) < 2:
-            raise InvalidArgs("a density curve needs at least two grid points")
-        if not np.all(np.diff(grid) > 0):
-            raise InvalidArgs("grid must be strictly ascending")
-        if not np.all(values >= -1e-12):
-            raise InvalidArgs("densities must be nonnegative")
+        if not np.all((values >= -1e-12) & (values < math.inf)):
+            span = f"[{float(grid[0])!r}, {float(grid[-1])!r}]"
+            raise InvalidArgs(f"densities on {span} must be finite and nonnegative")
         values = np.maximum(values, 0.0)
         if self.abscissa not in ABSCISSAE:
             raise InvalidArgs(f"abscissa must be one of {ABSCISSAE}")
@@ -64,52 +77,38 @@ class DensityCurve:
     def with_abscissa(self, target: str, params: IsingParams) -> "DensityCurve":
         """Exact mass-preserving change of abscissa units."""
         factor = abscissa_scale(params, self.abscissa) / abscissa_scale(params, target)
-        return DensityCurve(
-            grid=self.grid * factor,
-            values=self.values / factor,
-            abscissa=target,
-        )
+        with np.errstate(over="ignore"):  # the curve rule refuses what overflows
+            grid, values = self.grid * factor, self.values / factor
+        return DensityCurve(grid=grid, values=values, abscissa=target)
 
 
-def _default_bins(count: int) -> int:
-    return min(MAX_DEFAULT_BINS, max(2, math.ceil(math.sqrt(count))))
-
-
-def histogram(
-    spectrum: ManyBodySpectrum,
-    bins: int | None = None,
-    range: tuple[float, float] | None = None,
-) -> DensityCurve:
+def histogram(spectrum: ManyBodySpectrum, bins: int | None = None) -> DensityCurve:
     """Unit-integral histogram of a spectrum, bin centers as abscissae.
 
-    With the default range the histogram spans [min E, max E] and is padded
-    by one empty bin on each side; an explicit range is used as given,
-    without padding.
+    The histogram spans [min E, max E] and is padded by one empty bin on
+    each side.
     """
     energies = spectrum.energies
     if len(energies) == 0:
         raise EmptySpectrum("cannot histogram an empty spectrum")
     if bins is None:
-        bins = _default_bins(len(energies))
+        bins = min(MAX_DEFAULT_BINS, max(2, math.ceil(math.sqrt(len(energies)))))
     if bins < 2:
         raise InvalidArgs(f"need at least 2 bins, got {bins}")
-    lo = float(energies.min()) if range is None else float(range[0])
-    hi = float(energies.max()) if range is None else float(range[1])
+    lo, hi = float(energies.min()), float(energies.max())
     if hi <= lo:
-        if range is not None:
-            raise InvalidArgs(f"empty range [{lo}, {hi}]")
-        center = lo
-        return DensityCurve(
-            np.array([center - 1.0, center, center + 1.0]),
-            np.array([0.0, 1.0, 0.0]),
-        )
-    counts, edges = np.histogram(energies, bins=bins, range=(lo, hi))
-    width = edges[1] - edges[0]
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    density = counts / (len(energies) * width)
-    if range is not None:
-        return DensityCurve(centers, density)
-    grid = np.concatenate([[centers[0] - width], centers, [centers[-1] + width]])
+        return DensityCurve(np.array([lo - 1.0, lo, lo + 1.0]), np.array([0.0, 1.0, 0.0]))
+    # The edges np.histogram draws.  Where they, or the padded centers and
+    # densities, overflow or collide, the node and curve rules refuse them.
+    with np.errstate(all="ignore"):
+        edges = np.linspace(lo, hi, bins + 1)
+    _require_grid(edges, f"the edges of {bins} bins on [{lo!r}, {hi!r}]")
+    counts, _ = np.histogram(energies, bins=bins, range=(lo, hi))
+    with np.errstate(over="ignore"):
+        width = edges[1] - edges[0]
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        density = counts / (len(energies) * width)
+        grid = np.concatenate([[centers[0] - width], centers, [centers[-1] + width]])
     values = np.concatenate([[0.0], density, [0.0]])
     return DensityCurve(grid, values)
 
@@ -144,12 +143,9 @@ def kernel_density(spectrum: ManyBodySpectrum, bandwidth: float) -> DensityCurve
         raise InvalidArgs(f"bandwidth {bandwidth} is so narrow that the kernel overflows")
     lo = float(energies.min()) - 8.0 * bandwidth
     hi = float(energies.max()) + 8.0 * bandwidth
-    grid = np.linspace(lo, hi, KDE_POINTS)
-    if not np.all(np.diff(grid) > 0):
-        raise InvalidArgs(
-            f"bandwidth {bandwidth} cannot span [{lo}, {hi}] with {KDE_POINTS} "
-            "distinct grid points"
-        )
+    with np.errstate(all="ignore"):  # the node rule refuses what overflows
+        grid = np.linspace(lo, hi, KDE_POINTS)
+    _require_grid(grid, f"the grid of bandwidth {bandwidth} on [{lo}, {hi}]")
     spacing = (hi - lo) / (KDE_POINTS - 1)
     finest = 2**52 // (KDE_POINTS - 1)
     if spacing >= finest * KDE_LATTICE_STEP * bandwidth:
@@ -196,13 +192,6 @@ def _window_lattice(
     return lattice, stride
 
 
-def resample(curve: DensityCurve, grid: Iterable[float]) -> DensityCurve:
-    """Linear-interpolation resampling; zero outside the original range."""
-    new_grid = np.asarray(list(grid), dtype=float)
-    values = np.interp(new_grid, curve.grid, curve.values, left=0.0, right=0.0)
-    return DensityCurve(new_grid, values, abscissa=curve.abscissa)
-
-
 @dataclass(frozen=True)
 class ComparisonReport:
     """Quantified agreement between two density curves."""
@@ -211,6 +200,11 @@ class ComparisonReport:
     sup: float
     peak_positions: list[tuple[float, float, float]]
     grids_aligned: bool
+
+    def __post_init__(self) -> None:
+        distances = [self.l1, self.sup, *(d for _, _, d in self.peak_positions)]
+        if not all(map(math.isfinite, distances)):
+            raise InvalidArgs(f"a curve distance is beyond float range: {distances}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -222,18 +216,6 @@ class ComparisonReport:
             ],
             "grids_aligned": self.grids_aligned,
         }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "ComparisonReport":
-        return cls(
-            l1=float(payload["l1"]),
-            sup=float(payload["sup"]),
-            peak_positions=[
-                (float(p["a"]), float(p["b"]), float(p["offset"]))
-                for p in payload["peak_positions"]
-            ],
-            grids_aligned=bool(payload["grids_aligned"]),
-        )
 
 
 def curve_peaks(curve: DensityCurve) -> np.ndarray:
@@ -279,7 +261,7 @@ def _match_peaks(
 ) -> list[tuple[float, float, float]]:
     """Greedy proximity pairing; each peak used at most once."""
     pairs = sorted(
-        ((abs(pa - pb), float(pa), float(pb)) for pa in peaks_a for pb in peaks_b),
+        ((abs(pa - pb), pa, pb) for pa in peaks_a.tolist() for pb in peaks_b.tolist()),
         key=lambda t: (t[0], t[1], t[2]),
     )
     used_a: set[float] = set()
@@ -314,8 +296,10 @@ def compare(curve_a: DensityCurve, curve_b: DensityCurve) -> ComparisonReport:
     va = np.interp(common, curve_a.grid, curve_a.values)
     vb = np.interp(common, curve_b.grid, curve_b.values)
     diff = np.abs(va - vb)
+    with np.errstate(over="ignore", invalid="ignore"):  # the report refuses inf, NaN
+        l1 = float(np.trapezoid(diff, common))
     return ComparisonReport(
-        l1=float(np.trapezoid(diff, common)),
+        l1=l1,
         sup=float(diff.max()),
         peak_positions=_match_peaks(curve_peaks(curve_a), curve_peaks(curve_b)),
         grids_aligned=bool(np.array_equal(curve_a.grid, curve_b.grid)),
@@ -342,9 +326,6 @@ def read_curve_csv(source: str | IO[str] | Table) -> tuple[DensityCurve, dict]:
         raise InvalidArgs(
             f"{table.source} is not a curve CSV (header {table.header!r})"
         )
-    grid, values = table.columns
-    if len(grid) < 2:
-        raise InvalidArgs("curve CSV needs at least two data rows")
     metadata = dict(table.metadata)
     abscissa = metadata.pop("abscissa", "E")
     norm = metadata.pop("norm", "unit")
@@ -352,4 +333,7 @@ def read_curve_csv(source: str | IO[str] | Table) -> tuple[DensityCurve, dict]:
         raise InvalidArgs(
             f"{table.source} is not a unit-normalized curve (norm = {norm!r})"
         )
-    return DensityCurve(grid, values, abscissa=abscissa), metadata
+    try:
+        return DensityCurve(*table.columns, abscissa=abscissa), metadata
+    except InvalidArgs as exc:
+        raise InvalidArgs(f"{table.source}: {exc}") from None

@@ -287,6 +287,7 @@ class TestGaussianMixture:
         np.linspace(1.0, -1.0, 5),
         np.array([-1.0, 0.0, 0.0, 1.0]),
         np.array([-1.0, math.nan, 1.0]),
+        np.array([-1.0, 0.0, math.inf]),
     ])
     def test_grid_must_be_strictly_ascending(self, grid):
         mix = GaussianMixture(((0.5, 0.0, 1.0), (0.5, 0.3, 0.0)))
