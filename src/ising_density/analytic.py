@@ -71,6 +71,7 @@ from .errors import (
     NegativeDensityWarning,
     NoConvergence,
     OutOfSupport,
+    beyond_float_range,
 )
 from .model import IsingParams, abscissa_scale
 from .quadrature import _MAX_ORDER, _MIN_ORDER, _leggauss, g_phi, integrate_phi
@@ -279,6 +280,8 @@ def gaussian_density_tfim(
         )
     N, lam = params.N, params.lam
     width = 1.0 + lam * lam
+    if not math.isfinite(width):
+        raise beyond_float_range("the bulk Gaussian width", lam, 0.0)
     value = np.sqrt(N / (_TWO_PI * width)) * np.exp(
         -N * np.asarray(e, dtype=float) ** 2 / (2.0 * width)
     )

@@ -54,6 +54,8 @@ def _comp(j: int, r: int) -> int:
 
 
 def _require_ring(N: int) -> None:
+    if not isinstance(N, (int, np.integer)) or isinstance(N, bool):
+        raise InvalidArgs(f"ring size must be an integer, got N={N!r}")
     if N < 2:
         raise InvalidArgs(f"ring size must be >= 2, got N={N}")
 
@@ -80,11 +82,10 @@ def _validate_cell(N: int, n: int, k: int) -> None:
         )
 
 
-def cells(N: int, include_polarized: bool = True) -> list[tuple[int, int]]:
+def cells(N: int) -> list[tuple[int, int]]:
     """All valid (n, k) cells of a length-N ring, polarized ones first."""
-    out: list[tuple[int, int]] = []
-    if include_polarized:
-        out.extend([(0, 0), (N, 0)])
+    _require_ring(N)
+    out = [(0, 0), (N, 0)]
     for n in range(1, N):
         out.extend((n, k) for k in range(1, min(n, N - n) + 1))
     return out
@@ -184,10 +185,7 @@ class BlockCensus:
 
 
 def block_census(N: int) -> BlockCensus:
-    _require_ring(N)
-    table = {
-        (n, k): f_count(N, n, k) for n, k in cells(N, include_polarized=False)
-    }
+    table = {(n, k): f_count(N, n, k) for n, k in cells(N)[2:]}
     return BlockCensus(N=N, table=table, polarized={(0, 0): 1, (N, 0): 1})
 
 

@@ -33,13 +33,6 @@ from .quadrature import g_phi
 
 DEFAULT_MAX_SITES = 22
 
-_SECTOR_NAMES = {
-    "even": "even",
-    "antiperiodic": "even",
-    "odd": "odd",
-    "periodic": "odd",
-}
-
 
 def one_particle_energy(lam: float, phi: float | np.ndarray) -> float | np.ndarray:
     """Dispersion e(phi) = 2 g(phi) = 2 sqrt(1 - 2 lambda cos phi + lambda^2) >= 0."""
@@ -51,14 +44,10 @@ def momentum_grid(N: int, parity: str) -> np.ndarray:
     """Sorted momentum phases in [0, 2 pi) for one sector of an even-N ring."""
     if N % 2 != 0:
         raise OddN(f"free-fermion sectors require even N, got {N}")
-    key = _SECTOR_NAMES.get(parity)
-    if key is None:
-        raise InvalidArgs(
-            f"parity must name the even/antiperiodic or odd/periodic sector, "
-            f"got {parity!r}"
-        )
+    if parity not in ("even", "odd"):
+        raise InvalidArgs(f"parity must be 'even' or 'odd', got {parity!r}")
     j = np.arange(N)
-    if key == "even":
+    if parity == "even":
         return math.pi * (2 * j + 1) / N
     return 2 * math.pi * j / N
 

@@ -72,13 +72,21 @@ class IsingParams:
 
 def abscissa_scale(params: IsingParams, abscissa: str) -> float:
     """Energy per unit of an abscissa: 1 for ``E``, N for the per-spin ``e``
-    and sqrt(N (1 + lambda^2 + alpha^2)) for the rescaled ``eps``."""
+    and sqrt(N (1 + lambda^2 + alpha^2)) for the rescaled ``eps``, which is
+    refused where it leaves float range."""
     if abscissa == "E":
         return 1.0
     if abscissa == "e":
         return float(params.N)
     if abscissa == "eps":
-        return math.sqrt(params.N * (1.0 + params.lam**2 + params.alpha**2))
+        lam, alpha = params.lam, params.alpha
+        try:  # a float ** raises OverflowError where * and + give inf
+            scale = math.sqrt(params.N * (1.0 + lam**2 + alpha**2))
+        except OverflowError:
+            scale = math.inf
+        if not math.isfinite(scale):
+            raise beyond_float_range("the rescaled abscissa eps", lam, alpha)
+        return scale
     raise InvalidArgs(f"abscissa must be one of {ABSCISSAE}")
 
 

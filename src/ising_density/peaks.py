@@ -45,7 +45,7 @@ from .blocks import (
     cells,
     count_Na,  # noqa: F401  (bench/tracer.py wraps it here)
     count_Nb,  # noqa: F401  (bench/tracer.py wraps it here)
-    count_Nc,
+    count_Nc,  # noqa: F401  (bench/tracer.py wraps it here)
     degeneracy_census,  # noqa: F401  (bench/tracer.py wraps it here)
     f_count,
 )
@@ -172,13 +172,6 @@ class GaussianMixture:
     def to_json_dict(self) -> dict:
         return {"components": [c._asdict() for c in self.components]}
 
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "GaussianMixture":
-        try:
-            return cls([(c["w"], c["mu"], c["var"]) for c in payload["components"]])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidArgs(f"malformed mixture payload: {exc}") from exc
-
 
 class Visibility(NamedTuple):
     """Largest ring size with resolved clusters, per the regime's criterion."""
@@ -229,6 +222,7 @@ def _require_occupation(N: int, n: int) -> None:
 # Overflowing couplings give non-finite moments, which are refused by name.
 @np.errstate(over="ignore", invalid="ignore")
 def _tfim_moments(N: int, lam: float, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    _require_ring(N)
     es = one_particle_energy(lam, momentum_grid(N, "even"))
     e1 = float(np.sum(es)) / (2 * N)
     e2 = float(np.sum(es * es)) / (4 * N)
@@ -274,17 +268,6 @@ def tfim_mixture_components(N: int, lam: float) -> GaussianMixture:
 # peak visibility
 # ----------------------------------------------------------------------------
 
-_REGIME_ALIASES = {
-    "tfimlarge": "tfim-large",
-    "tfimlargelambda": "tfim-large",
-    "tfimsmall": "tfim-small",
-    "tfimsmalllambda": "tfim-small",
-    "strongfield": "strong-fields",
-    "strongfields": "strong-fields",
-    "smalllambdaintegeralpha": "small-lambda-integer-alpha",
-    "integeralpha": "small-lambda-integer-alpha",
-}
-
 _VISIBILITY = {
     "tfim-large": lambda lam, alpha: 2.0 * lam * lam,
     "tfim-small": lambda lam, alpha: 8.0 / (lam * lam),
@@ -295,40 +278,34 @@ _VISIBILITY = {
 }
 
 
-def _normalize_regime(regime: str) -> str:
-    text = str(regime).strip().lower().replace("λ", "lambda")
-    key = "".join(ch for ch in text if ch.isalnum())
-    try:
-        return _REGIME_ALIASES[key]
-    except KeyError:
-        raise InvalidRegime(
-            f"unknown visibility regime {regime!r}; expected one of "
-            f"{sorted(set(_REGIME_ALIASES.values()))}"
-        ) from None
-
-
 def visibility_Nmax(lam: float, alpha: float, regime: str) -> Visibility:
     """Largest ring size N_max with resolved clusters in the given regime.
 
-    The estimate compares the cluster spacing with the width of the widest
-    cluster; for the small-coupling integer-alpha regime only the scaling
-    ``1 / lambda^4`` is controlled, so the result is flagged as an
-    order-of-magnitude statement.  Couplings whose N_max is not a finite
-    float are rejected.
+    ``regime`` is one of ``tfim-large``, ``tfim-small``, ``strong-fields``
+    and ``small-lambda-integer-alpha``.  The estimate compares the cluster
+    spacing with the width of the widest cluster; for the small-coupling
+    integer-alpha regime only the scaling ``1 / lambda^4`` is controlled, so
+    the result is flagged as an order-of-magnitude statement.  Couplings
+    whose N_max is not a finite float are rejected.
     """
     lam, alpha = float(lam), float(alpha)
     if not (math.isfinite(lam) and math.isfinite(alpha)):
         raise InvalidArgs(f"lambda and alpha must be finite, got {lam!r} and {alpha!r}")
-    canon = _normalize_regime(regime)
-    if lam == 0.0 and canon != "tfim-large":
-        raise InvalidArgs(f"{canon} visibility requires lambda != 0")
+    formula = _VISIBILITY.get(regime)
+    if formula is None:
+        raise InvalidRegime(
+            f"unknown visibility regime {regime!r}; expected one of "
+            f"{sorted(_VISIBILITY)}"
+        )
+    if lam == 0.0 and regime != "tfim-large":
+        raise InvalidArgs(f"{regime} visibility requires lambda != 0")
     try:
-        n_max = _VISIBILITY[canon](lam, alpha)
+        n_max = formula(lam, alpha)
     except (ZeroDivisionError, OverflowError):  # a power under- or overflowed
         n_max = math.inf
     if not math.isfinite(n_max):
-        raise beyond_float_range(f"{canon} visibility N_max", lam, alpha)
-    return Visibility(n_max, canon == "small-lambda-integer-alpha")
+        raise beyond_float_range(f"{regime} visibility N_max", lam, alpha)
+    return Visibility(n_max, regime == "small-lambda-integer-alpha")
 
 
 # ----------------------------------------------------------------------------
@@ -347,6 +324,7 @@ def _combined_field(lam: float, alpha: float) -> float:
 def _strong_field_moments(
     N: int, lam: float, alpha: float, n: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
+    _require_ring(N)
     root = _combined_field(lam, alpha)
     root_sq = root * root
     mean = root * (N - 2 * n) - (N - 4.0 * n * (N - n) / (N - 1)) * (
@@ -556,20 +534,15 @@ def small_lambda_sigmaR(N: int, lam: float, R: int) -> float:
     return _class_value(_class_widths, N, lam, R)
 
 
-def small_lambda_components(
-    N: int, lam: float, corrections: bool = True
-) -> GaussianMixture:
+def small_lambda_components(N: int, lam: float) -> GaussianMixture:
     """Class-cluster mixture at unit longitudinal field, one peak per R.
 
-    Components are ordered by ascending R.  ``corrections=False`` drops the
-    second-order center shifts (useful at lambda = 0, where they vanish
-    anyway, and for isolating the first-order picture).
+    Components are ordered by ascending R; centers carry the second-order
+    shift, which vanishes at lambda = 0.
     """
     lam = float(lam)
     table = _unit_alpha_classes(N)
-    mu = _class_centers(table, N, lam)
-    if corrections:
-        mu = mu + _class_shifts(table, N, lam)
+    mu = _class_centers(table, N, lam) + _class_shifts(table, N, lam)
     sigma = _class_widths(table, N, lam)
     return GaussianMixture(np.column_stack((table.weights, mu, sigma * sigma)))
 
@@ -579,49 +552,29 @@ def small_lambda_components(
 # ----------------------------------------------------------------------------
 
 
-def generic_alpha_components(
-    N: int,
-    lam: float,
-    alpha: float,
-    exact_variance: bool = False,
-    sigma_floor: float = 0.0,
-) -> GaussianMixture:
+def generic_alpha_components(N: int, lam: float, alpha: float) -> GaussianMixture:
     """Cell-resolved mixture at generic longitudinal field, one peak per (n, k).
 
     Peaks sit at the unperturbed cell energies ``alpha (N - 2n) + 4k - N``
     with weights ``f(n, k) / 2^N``; the two polarized cells are delta spikes
-    of weight ``2^-N`` at ``N (alpha - 1)`` and ``-N (alpha + 1)``.  The
-    default width uses the large-(n, k) form
-    ``2 lam^4/(alpha^2+lam^2)^2 k^2 (N - 2k) / (n (N - n))``;
-    ``exact_variance`` replaces it with the exact per-state transition count
-    ``N_c / f``.  ``sigma_floor`` imposes a lower bound on every component's
-    standard deviation (useful for plotting the lambda = 0 spike profile as
-    a smoothed curve).
+    of weight ``2^-N`` at ``N (alpha - 1)`` and ``-N (alpha + 1)``.  Interior
+    cells take the large-(n, k) width
+    ``2 lam^4/(alpha^2+lam^2)^2 k^2 (N - 2k) / (n (N - n))``.
     """
     lam, alpha = float(lam), float(alpha)
-    sigma_floor = float(sigma_floor)
-    if sigma_floor < 0.0:
-        raise InvalidArgs(f"sigma_floor must be >= 0, got {sigma_floor!r}")
     if lam * lam + alpha * alpha == 0.0:
         raise InvalidArgs("cell widths require lambda^2 + alpha^2 > 0")
     try:
         coupling = lam**4 / (alpha**2 + lam**2) ** 2
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # a power over- or underflowed
         raise beyond_float_range("the cell width coupling", lam, alpha) from None
-    floor_var = sigma_floor * sigma_floor
     pairs = cells(N)  # the two polarized cells first: spikes
     n, k = np.array(pairs).T
     counts = [f_count(N, a, b) for a, b in pairs]
     mu = alpha * (N - 2 * n) + 4 * k - N
     var = np.zeros(len(pairs))
-    if exact_variance:  # count_Nc refuses the two-site ring
-        var[2:] = coupling * np.array(
-            [count_Nc(N, a, N - a, b) / f for (a, b), f in zip(pairs[2:], counts[2:])]
-        )
-    else:
-        n, k = n[2:], k[2:]  # interior cells only
-        var[2:] = 2.0 * coupling * k * k * (N - 2 * k) / (n * (N - n))
-    var = np.where(floor_var > var, floor_var, var)
+    n, k = n[2:], k[2:]  # interior cells only
+    var[2:] = 2.0 * coupling * k * k * (N - 2 * k) / (n * (N - n))
     return GaussianMixture(np.column_stack((_exact_shares(counts, 2**N), mu, var)))
 
 
@@ -640,8 +593,7 @@ def xx_projection_check(N: int, lam: float, alpha: float, n: int) -> XXProjectio
     (computed from traces of the explicit matrix) next to the closed forms
     used by :func:`strong_field_moments`.
     """
-    if not isinstance(N, (int, np.integer)) or N < 2:
-        raise InvalidArgs(f"N must be an integer >= 2, got {N!r}")
+    _require_ring(N)
     if N > XX_PROJECTION_MAX_SITES:
         raise CapExceeded(
             f"xx projection check caps at N = {XX_PROJECTION_MAX_SITES}, got {N}"

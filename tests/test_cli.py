@@ -235,7 +235,9 @@ class TestApprox:
         sidecar = tmp_path / "multi.mixture.json"
         assert sidecar.exists()
         payload = json.loads(sidecar.read_text())
-        mixture = GaussianMixture.from_json_dict(payload)
+        mixture = GaussianMixture(
+            [(c["w"], c["mu"], c["var"]) for c in payload["components"]]
+        )
         assert len(mixture.components) == count
         assert mixture == builder()
 
@@ -637,7 +639,7 @@ class TestVisibility:
 
     @pytest.mark.parametrize("args", [
         ["--regime", "tfim-small", "--lambda", "1e-200"],
-        ["--regime", "integer-alpha", "--lambda", "1e-100"],
+        ["--regime", "small-lambda-integer-alpha", "--lambda", "1e-100"],
         ["--regime", "strong-fields", "--lambda", "1e-200", "--alpha", "1e200"],
         ["--regime", "tfim-large", "--lambda", "1e200"],
     ])

@@ -2,7 +2,8 @@
 
 Whatever the arguments and input files, a command exits 0 with nothing on
 stderr, exits 1 with exactly one JSON line ``{"code": ..., "message": ...}``
-on stderr, or exits 2 with a usage error; it never ends in an uncaught
+on stderr whose code names an error class of ``ising_density.errors``, or
+exits 2 with a usage error; it never ends in an uncaught
 exception or a warning.  Every JSON file it writes is strict JSON (no
 ``Infinity`` or ``NaN``), and every CSV it writes at exit 0 holds only
 finite numbers.  Inputs cover every ``approx`` kind with non-finite and huge
@@ -25,6 +26,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ising_density import errors
 from ising_density.cli import main
 
 CONTRACT = settings(
@@ -65,6 +67,8 @@ def assert_contract(result, written) -> None:
         assert len(lines) == 1, result.stderr
         payload = json.loads(lines[0])
         assert set(payload) == {"code", "message"}
+        error = getattr(errors, payload["code"], None)
+        assert isinstance(error, type) and issubclass(error, errors.IsingError), payload
     for name, text in written.items():
         if name.endswith(".json"):
             json.loads(text, parse_constant=_refuse_constant)
@@ -263,6 +267,14 @@ HUGE_GRID = ["--n", "16", "--lambda", "0.3", "--grid=1e307:1.5e307:2", "--per-sp
     # A grid that overflows once scaled to E.
     (["approx", "--kind", "multi-tfim", *HUGE_GRID, "--out", "m.csv"], {}, 1, "--grid"),
     (["approx", "--kind", "gaussian", *HUGE_GRID, "--out", "g.csv"], {}, 1, "--grid"),
+    # Couplings whose rescaled abscissa or bulk Gaussian width leaves float range.
+    (["approx", "--kind", "gaussian", "--n", "8", "--lambda", "1e200", "--alpha", "1",
+      "--grid=-1:1:3", "--out", "g.csv"], {}, 1, "eps at lambda = 1e+200"),
+    (["approx", "--kind", "saddle", "--n", "8", "--lambda", "1e200",
+      "--grid=-0.1:0.1:3", "--rescaled", "--out", "s.csv"], {}, 1,
+     "eps at lambda = 1e+200"),
+    (["approx", "--kind", "gaussian", "--n", "8", "--lambda", "1e300",
+      "--grid=-3:3:4", "--out", "g.csv"], {}, 1, "width at lambda = 1e+300"),
     # Bins or kernels that cannot span, or resolve, the spectrum.
     (["density", "--in", "s.csv", "--bins", "4", "--out", "d.csv"], {"s.csv": WIDE},
      1, "[-1e+308, 1e+308]"),
@@ -283,7 +295,8 @@ HUGE_GRID = ["--n", "16", "--lambda", "0.3", "--grid=1e307:1.5e307:2", "--per-sp
      {"a.csv": curve_csv(("0", "inf"), ("1", "1.0")), "b.csv": UNIT}, 1, "a.csv"),
 ], ids=[
     "grid-inf-end", "grid-span-overflow", "multi-tfim-scaled-overflow",
-    "gaussian-scaled-overflow", "bins-wide", "kde-wide", "bins-tiny-400",
+    "gaussian-scaled-overflow", "gaussian-eps-overflow", "saddle-eps-overflow",
+    "gaussian-width-overflow", "bins-wide", "kde-wide", "bins-tiny-400",
     "bins-tiny-default", "kde-huge-bandwidth", "compare-inf-abscissae",
     "compare-minus-inf-abscissa", "compare-inf-density",
 ])
@@ -302,3 +315,20 @@ def test_cli_clamps_negative_cubic_corrected_density_quietly():
     args = ["approx", "--kind", "gaussian", "--n", "4", "--lambda", "0.5", "--alpha", "2",
             "--grid=-10:10:11", "--rescaled", "--out", "g.csv"]
     assert invoke_quietly(args).exit_code == 0
+
+
+def test_census_at_an_alpha_near_the_float_minimum():
+    # Its exact-fraction rows once failed a float-based CSV check, in an
+    # example that only a full test run drew.
+    args = ["census", "--n", "2", "--alpha", "3.0580991739410183e-298", "--out", "c.csv"]
+    assert invoke_quietly(args).exit_code == 0
+
+
+def test_compare_identical_curves_across_the_float_range(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text(curve_csv(("-1e308", "1e308"), ("1e308", "1e308")))
+    out = tmp_path / "r.json"
+    args = ["compare", "--a", str(path), "--b", str(path), "--out", str(out)]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.stderr
+    assert json.loads(out.read_text())["l1"] == 0.0

@@ -217,6 +217,18 @@ def test_compare_identical_curves() -> None:
     assert report.grids_aligned
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_compare_l1_is_the_trapezoid_rule(seed) -> None:
+    # Halving the nodes before the step is exact away from subnormals, so
+    # the L1 distance keeps np.trapezoid's bits.
+    rng = np.random.default_rng(seed)
+    span = 10.0 ** rng.uniform(-3, 3)
+    grid = np.sort(rng.uniform(-span, span, 200))
+    a, b = rng.exponential(size=(2, 200))
+    report = compare(DensityCurve(grid, a), DensityCurve(grid, b))
+    assert report.l1 == float(np.trapezoid(np.abs(a - b), grid))
+
+
 def test_compare_constant_offset() -> None:
     grid = np.linspace(0.0, 1.0, 201)
     base = np.full_like(grid, 2.0)

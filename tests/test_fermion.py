@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from ising_density.errors import CapExceeded, OddN
+from ising_density.errors import CapExceeded, InvalidArgs, OddN
 from ising_density.fermion import (
     enumerate_spectrum,
     momentum_grid,
@@ -23,26 +23,32 @@ from ising_density.model import IsingParams, exact_spectrum
 
 
 def test_momentum_grid_antiperiodic_four_sites() -> None:
-    grid = momentum_grid(4, "antiperiodic")
+    grid = momentum_grid(4, "even")
     np.testing.assert_allclose(
         grid, [math.pi / 4, 3 * math.pi / 4, 5 * math.pi / 4, 7 * math.pi / 4]
     )
 
 
 def test_momentum_grid_periodic_four_sites() -> None:
-    grid = momentum_grid(4, "periodic")
+    grid = momentum_grid(4, "odd")
     np.testing.assert_allclose(grid, [0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
 
 
 def test_momentum_grid_two_sites() -> None:
     np.testing.assert_allclose(
-        momentum_grid(2, "antiperiodic"), [math.pi / 2, 3 * math.pi / 2]
+        momentum_grid(2, "even"), [math.pi / 2, 3 * math.pi / 2]
     )
 
 
 def test_momentum_grid_rejects_odd_N() -> None:
     with pytest.raises(OddN):
-        momentum_grid(5, "antiperiodic")
+        momentum_grid(5, "even")
+
+
+@pytest.mark.parametrize("parity", ["antiperiodic", "periodic", "Even", None])
+def test_momentum_grid_names_only_even_and_odd(parity) -> None:
+    with pytest.raises(InvalidArgs, match="parity must be 'even' or 'odd'"):
+        momentum_grid(4, parity)
 
 
 def test_one_particle_energy_values() -> None:
@@ -116,6 +122,6 @@ def test_ground_state_energy_against_single_particle_sum() -> None:
     """Even-sector vacuum energy is -(1/2) sum over the antiperiodic grid."""
     N, lam = 8, 0.6
     E0 = enumerate_spectrum(N, lam).energies[0]
-    grid = momentum_grid(N, "antiperiodic")
+    grid = momentum_grid(N, "even")
     vacuum = -0.5 * one_particle_energy(lam, grid).sum()
     assert E0 == pytest.approx(vacuum, rel=1e-12)

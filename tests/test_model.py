@@ -65,6 +65,18 @@ def test_abscissa_scale() -> None:
         abscissa_scale(params, "bogus")
 
 
+@pytest.mark.parametrize("lam, alpha", [(1e200, 1.0), (1.0, -1e155), (1e154, 1e154)])
+def test_abscissa_scale_eps_beyond_float_range_is_refused(lam, alpha) -> None:
+    params = IsingParams.two_field(8, lam, alpha)
+    with pytest.raises(InvalidArgs) as info:
+        abscissa_scale(params, "eps")
+    assert str(info.value) == (
+        f"the rescaled abscissa eps at lambda = {lam!r}, alpha = {alpha!r} "
+        "is beyond float range"
+    )
+    assert abscissa_scale(params, "e") == 8.0
+
+
 def test_build_hamiltonian_three_site_classical() -> None:
     H = build_hamiltonian(IsingParams.tfim(3, 0.0))
     spectrum = np.linalg.eigvalsh(H)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -308,7 +309,9 @@ class TestGaussianMixture:
                 {"w": 0.75, "mu": 2.0, "var": 3.0},
             ]
         }
-        again = GaussianMixture.from_json_dict(payload)
+        again = GaussianMixture(
+            [(c["w"], c["mu"], c["var"]) for c in payload["components"]]
+        )
         assert again == mix
 
 
@@ -449,34 +452,36 @@ class TestTfimMixture:
 
 class TestVisibility:
     def test_large_coupling_value(self):
-        vis = visibility_Nmax(10.0, 0.0, "TFIM-large")
+        vis = visibility_Nmax(10.0, 0.0, "tfim-large")
         assert isinstance(vis, Visibility)
         assert vis.n_max == pytest.approx(200.0, rel=1e-14)
         assert vis.order_of_magnitude is False
 
     def test_small_coupling_value(self):
-        vis = visibility_Nmax(0.2, 0.0, "TFIM-small")
+        vis = visibility_Nmax(0.2, 0.0, "tfim-small")
         assert vis.n_max == pytest.approx(200.0, rel=1e-14)
 
     def test_strong_fields_value(self):
-        vis = visibility_Nmax(2.0, 0.5, "StrongFields")
+        vis = visibility_Nmax(2.0, 0.5, "strong-fields")
         assert vis.n_max == pytest.approx(2 * 4.25**3 / 16.0, rel=1e-14)
 
     def test_integer_alpha_order_of_magnitude(self):
-        vis = visibility_Nmax(0.3, 1.0, "SmallLambdaIntegerAlpha")
+        vis = visibility_Nmax(0.3, 1.0, "small-lambda-integer-alpha")
         assert vis.n_max == pytest.approx(1 / 0.3**4, rel=1e-14)
         assert vis.order_of_magnitude is True
-
-    @pytest.mark.parametrize(
-        "name",
-        ["tfim-large-lambda", "TFIM-LARGE", "tfim large λ"],
-    )
-    def test_regime_aliases(self, name):
-        assert visibility_Nmax(10.0, 0.0, name).n_max == pytest.approx(200.0)
 
     def test_unknown_regime_rejected(self):
         with pytest.raises(InvalidRegime):
             visibility_Nmax(1.0, 0.0, "weak")
+
+    @pytest.mark.parametrize("name", ["TFIM-large", "tfim large λ", "integer-alpha"])
+    def test_only_the_four_regime_names_are_accepted(self, name):
+        with pytest.raises(InvalidRegime) as info:
+            visibility_Nmax(1.0, 0.0, name)
+        assert str(info.value).endswith(
+            "expected one of ['small-lambda-integer-alpha', 'strong-fields', "
+            "'tfim-large', 'tfim-small']"
+        )
 
 
 # ----------------------------------------------------------------------------
@@ -549,7 +554,7 @@ def er_weighted_average_oracle(N: int, lam: float, R: int) -> float:
     root = math.sqrt(1 + lam * lam)
     total = 0.0
     weight = 0
-    for n, k in cells(N, include_polarized=True):
+    for n, k in cells(N):
         if 2 * k - n != R:
             continue
         f = f_count(N, n, k)
@@ -686,7 +691,7 @@ class TestSmallLambdaDeltaER:
         census = degeneracy_census(N, 1)
         oracle = sum(
             pt2_cell_shift(N, n, k, 1, lam)
-            for n, k in cells(N, include_polarized=False)
+            for n, k in cells(N)[2:]
             if 2 * k - n == R
         ) / census.classes[R]
         assert abs(small_lambda_deltaE_R(N, lam, R) - oracle) < 5 * lam**4
@@ -778,7 +783,6 @@ class TestSmallLambdaSigmaR:
         for widths in (
             lambda: small_lambda_sigmaR(2, 0.1, 1),
             lambda: small_lambda_components(2, 0.1),
-            lambda: generic_alpha_components(2, 0.1, 0.5, exact_variance=True),
         ):
             with pytest.raises(InvalidArgs, match="N=2"):
                 widths()
@@ -807,13 +811,6 @@ class TestSmallLambdaMixture:
                     small_lambda_sigmaR(N, lam, R) ** 2, rel=1e-12, abs=1e-300
                 )
 
-    def test_corrections_flag_reverts_to_bare_centers(self):
-        N, lam = 8, 0.2
-        mix = small_lambda_components(N, lam, corrections=False)
-        Rs = sorted(degeneracy_census(N, 1).classes)
-        for comp, R in zip(mix.components, Rs):
-            assert comp.mu == pytest.approx(small_lambda_ER(N, lam, R), rel=1e-12)
-
     def test_unit_integral(self):
         grid = np.linspace(-20.0, 12.0, 4001)
         curve = small_lambda_components(8, 0.3).density_curve(grid)
@@ -823,7 +820,7 @@ class TestSmallLambdaMixture:
         # lambda = 0: every class is a delta spike at 2R with mass N_R/2^N.
         N = 8
         grid = np.linspace(-18.0, 10.0, 2801)  # spacing 0.01, spikes on-grid
-        curve = small_lambda_components(N, 0.0, corrections=False).density_curve(grid)
+        curve = small_lambda_components(N, 0.0).density_curve(grid)
         assert curve.integral() == pytest.approx(1.0, rel=1e-12)
         census = degeneracy_census(N, 1)
         for R, N_R in census.classes.items():
@@ -935,7 +932,7 @@ class TestGenericAlphaMixture:
         mix = generic_alpha_components(N, lam, alpha)
         by_mean = {round(c.mu, 9): c for c in mix.components}
         total = 0.0
-        for n, k in cells(N, include_polarized=True):
+        for n, k in cells(N):
             mu = alpha * (N - 2 * n) + 4 * k - N
             comp = by_mean[round(mu, 9)]
             assert comp.w == pytest.approx(f_count(N, n, k) / 2**N, rel=1e-14)
@@ -965,52 +962,18 @@ class TestGenericAlphaMixture:
         )
         assert comp.var == pytest.approx(expect, rel=1e-12)
 
-    def test_exact_variance_flag_value(self):
-        N, lam, alpha = 10, 0.3, 0.9
-        mix = generic_alpha_components(N, lam, alpha, exact_variance=True)
-        n, k = 4, 2
-        mu = alpha * (N - 2 * n) + 4 * k - N
-        comp = next(c for c in mix.components if abs(c.mu - mu) < 1e-9)
-        # 2 k (k-1) (N-2k) / ((n-1)(N-n-1)) = 2*2*1*6/(3*5) = 8/5.
-        assert comp.var == pytest.approx(
-            lam**4 / (alpha**2 + lam**2) ** 2 * 8.0 / 5.0, rel=1e-12
-        )
-
     def test_exact_variance_equals_transition_count_ratio(self):
         # The closed form 2k(k-1)(N-2k)/((n-1)(N-n-1)) is the exact ratio
         # N_c/f on interior cells; the single-block column where the closed
         # form degenerates to 0/0 evaluates to 2.
         N = 8
-        for n, k in cells(N, include_polarized=False):
+        for n, k in cells(N)[2:]:
             ratio = Fraction(count_Nc(N, n, N - n, k), f_count(N, n, k))
             if n == 1 or n == N - 1:
                 assert ratio == 2
                 continue
             closed = Fraction(2 * k * (k - 1) * (N - 2 * k), (n - 1) * (N - n - 1))
             assert ratio == closed
-
-    def test_sigma_floor_bounds_all_widths(self):
-        mix = generic_alpha_components(10, 0.3, 0.9, sigma_floor=0.5)
-        assert all(c.var >= 0.25 - 1e-15 for c in mix.components)
-
-    def test_free_point_with_floor_is_smoothed_profile(self):
-        # lambda = 0 with a width floor must reproduce the unperturbed
-        # profile: a Gaussian of width sigma at every cell energy.
-        N, alpha, floor = 8, 0.9, 0.1
-        grid = np.linspace(-22.0, 14.0, 3001)
-        curve = generic_alpha_components(N, 0.0, alpha, sigma_floor=floor).density_curve(
-            grid
-        )
-        expect = np.zeros_like(grid)
-        for n, k in cells(N, include_polarized=True):
-            mu = alpha * (N - 2 * n) + 4 * k - N
-            w = f_count(N, n, k) / 2**N
-            expect += (
-                w
-                * np.exp(-((grid - mu) ** 2) / (2 * floor**2))
-                / math.sqrt(2 * math.pi * floor**2)
-            )
-        assert curve.values == pytest.approx(expect, rel=1e-12, abs=1e-300)
 
     def test_unit_integral_rational_and_irrational(self):
         grid = np.linspace(-30.0, 20.0, 6001)
@@ -1085,9 +1048,34 @@ class TestXXProjection:
     (lambda: small_lambda_sigmaR(8, 1e100, 0), "a class width sigma_R", 1e100, 1.0),
     (lambda: generic_alpha_components(8, 0.1, 1e200), "the cell width coupling",
      0.1, 1e200),
+    (lambda: generic_alpha_components(8, 1e-160, 1e-160), "the cell width coupling",
+     1e-160, 1e-160),
 ])
 def test_formulas_beyond_float_range_name_the_couplings(formula, what, lam, alpha):
     message = f"{what} at lambda = {lam!r}, alpha = {alpha!r} is beyond float range"
     with pytest.raises(InvalidArgs) as info:
         formula()
     assert str(info.value) == message
+
+
+# ----------------------------------------------------------------------------
+# ring sizes
+# ----------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("N, rule", [
+    (0, "must be >= 2, got N=0"),
+    (1, "must be >= 2, got N=1"),
+    (2.5, "must be an integer, got N=2.5"),
+    (True, "must be an integer, got N=True"),
+])
+@pytest.mark.parametrize("build", [
+    lambda N: tfim_mixture_components(N, 2.0),
+    lambda N: strong_field_components(N, 1.0, 1.0),
+    lambda N: small_lambda_components(N, 0.1),
+    lambda N: generic_alpha_components(N, 0.1, 0.5),
+    lambda N: xx_projection_check(N, 1.0, 1.0, 0),
+], ids=["tfim", "strong", "int-alpha", "generic", "xx-projection"])
+def test_builders_keep_one_ring_size_rule(build, N, rule):
+    with pytest.raises(InvalidArgs, match=f"^ring size {re.escape(rule)}$"):
+        build(N)
