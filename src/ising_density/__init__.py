@@ -28,7 +28,6 @@ _NAMES = {
         "InvalidArgs",
         "InvalidRegime",
         "IsingError",
-        "NegativeDensityWarning",
         "NoConvergence",
         "OddN",
         "OutOfSupport",
@@ -46,13 +45,11 @@ _NAMES = {
     ),
     "fermion": ("enumerate_spectrum", "momentum_grid", "one_particle_energy"),
     "analytic": (
-        "SaddleSolution",
         "gaussian_density_tfim",
         "gaussian_density_two_fields",
         "ground_state_energy_per_spin",
         "saddle_density",
         "saddle_density_extensive",
-        "solve_saddle",
         "tail_density_critical",
     ),
     "blocks": (
@@ -68,7 +65,6 @@ _NAMES = {
         "count_Nc",
         "degeneracy_census",
         "f_count",
-        "k_bar",
     ),
     "curves": (
         "ComparisonReport",
@@ -86,15 +82,12 @@ _NAMES = {
         "Visibility",
         "XXProjectionReport",
         "generic_alpha_components",
-        "mean_one_particle_energy",
         "small_lambda_ER",
         "small_lambda_components",
         "small_lambda_deltaE",
         "small_lambda_deltaE_R",
         "small_lambda_sigmaR",
         "strong_field_components",
-        "strong_field_moments",
-        "tfim_fixed_n_moments",
         "tfim_mixture_components",
         "visibility_Nmax",
         "xx_projection_check",

@@ -33,9 +33,11 @@ root from one side without overshooting.  The rule order follows the doubling te
 ``quadrature.gauss_legendre``: n = 16, 32, ..., each order warm-started from
 the previous roots, until at every point the right-hand side at the previous
 root, the entropy and the curvature integral agree between the two orders to
-1e-13 max(1, |value|).  At _MAX_ORDER the solve raises NoConvergence.  The
-right-hand side is compared rather than beta itself because beta is
-ill-conditioned near the band edge, where d beta / d e grows without bound.
+1e-13 max(1, |value|).  At _MAX_ORDER the solve raises NoConvergence; a
+coupling whose curvature integral 2 pi (1 + lambda^2) at beta = 0 is not
+finite is refused before any solve.  The right-hand side is compared rather
+than beta itself because beta is ill-conditioned near the band edge, where
+d beta / d e grows without bound.
 The grid is processed in chunks so that each (chunk x nodes) temporary stays
 near 8 MB.
 
@@ -59,8 +61,6 @@ At lambda = 1 the low-energy tail admits the stretched-exponential form
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -68,7 +68,6 @@ import numpy as np
 from .errors import (
     AtOrBelowGroundState,
     InvalidArgs,
-    NegativeDensityWarning,
     NoConvergence,
     OutOfSupport,
     beyond_float_range,
@@ -86,18 +85,7 @@ _TINY = np.finfo(float).tiny  # smallest normal float
 _MAX_STEPS = 200
 # Rows per chunk keep each (points x nodes) temporary near this size.
 _CHUNK_BYTES = 8 << 20
-
-
-@dataclass(frozen=True)
-class SaddleSolution:
-    """Saddle-point data at one energy per spin."""
-
-    e: float
-    beta_sp: float
-    entropy: float
-    prefactor: float
-    lam: float
-    N: int
+_CURVATURE = "the saddle curvature integral"
 
 
 def _logcosh(x: np.ndarray) -> np.ndarray:
@@ -140,7 +128,7 @@ def _panel_nodes(order: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
     # every integral of the solve.
     with np.errstate(over="ignore"):
         if not np.isfinite(w @ (g * g)):
-            raise NoConvergence(f"saddle integrands are not finite at lambda={lam}")
+            raise beyond_float_range(_CURVATURE, lam, 0.0)
     return g, w
 
 
@@ -194,6 +182,8 @@ def _agree(new: np.ndarray, old: np.ndarray) -> bool:
 def _saddle_grid(e: np.ndarray, lam: float) -> tuple[np.ndarray, ...]:
     """beta_sp, entropy S and curvature Integral g^2 sech^2 at every e of a
     1-D array; the algorithm and its error bound are in the module docstring."""
+    if not math.isfinite(_TWO_PI * (1.0 + lam * lam)):  # the curvature at beta = 0
+        raise beyond_float_range(_CURVATURE, lam, 0.0)
     e_gs = ground_state_energy_per_spin(lam)
     outside = np.flatnonzero(~(np.abs(e) < abs(e_gs)))
     if outside.size:
@@ -225,25 +215,6 @@ def _saddle_grid(e: np.ndarray, lam: float) -> tuple[np.ndarray, ...]:
             )
         previous = entropy, curvature
         order *= 2
-
-
-def solve_saddle(e: float, lam: float, N: int = 1) -> SaddleSolution:
-    """Solve the saddle equation at one e: the one-point case of the grid solve.
-
-    The prefactor scales with the chain length, so N enters here only
-    through A = sqrt(N / Integral g^2 sech^2).  The saddle equation itself
-    is intensive.
-    """
-    e = float(e)
-    beta, entropy, curvature = _saddle_grid(np.array([e]), lam)
-    return SaddleSolution(
-        e=e,
-        beta_sp=float(beta[0]),
-        entropy=float(entropy[0]),
-        prefactor=math.sqrt(N / float(curvature[0])),
-        lam=lam,
-        N=N,
-    )
 
 
 def saddle_density(
@@ -291,31 +262,26 @@ def gaussian_density_tfim(
 # Far out, overflow gives NaNs (0 * inf) that the curve rule refuses.
 @np.errstate(over="ignore", invalid="ignore")
 def gaussian_density_two_fields(
-    E: float | np.ndarray, params: IsingParams, clamp: bool = False
+    E: float | np.ndarray, params: IsingParams
 ) -> float | np.ndarray:
     """Cubic-corrected bulk density per unit eps for the two-field model.
 
     Values are reported per unit of the rescaled energy eps; the extensive
     conversion is rho_E(E) = rho_eps(E/s)/s with s = sqrt(N (1+lambda^2+alpha^2)).
-    The cubic correction can push extreme-|eps| values below zero; that is
-    reported via NegativeDensityWarning and, with clamp=True, cut off at 0.
+    The cubic correction can push extreme-|eps| values below zero; they are
+    returned as they are.
     """
     if params.model != "two-field":
         raise InvalidArgs("gaussian_density_two_fields requires the two-field model")
     N, lam, alpha = params.N, params.lam, params.alpha
     w = 1.0 + lam * lam + alpha * alpha
     eps = np.asarray(E, dtype=float) / abscissa_scale(params, "eps")
+    try:  # a float ** raises OverflowError where * and + give inf
+        denominator = math.sqrt(N) * w**1.5
+    except OverflowError:
+        raise beyond_float_range("the cubic correction", lam, alpha) from None
     base = np.exp(-(eps**2) / 2.0) / math.sqrt(_TWO_PI)
-    correction = 1.0 - alpha * alpha * (eps**3 - 3.0 * eps) / (math.sqrt(N) * w**1.5)
-    value = base * correction
-    if np.any(value < 0.0):
-        warnings.warn(
-            "cubic correction drives the density negative at extreme eps",
-            NegativeDensityWarning,
-            stacklevel=2,
-        )
-        if clamp:
-            value = np.maximum(value, 0.0)
+    value = base * (1.0 - alpha * alpha * (eps**3 - 3.0 * eps) / denominator)
     return float(value) if np.isscalar(E) else value
 
 

@@ -106,13 +106,6 @@ def _f_count(N: int, n: int, k: int) -> int:
     return numerator // k
 
 
-def k_bar(N: int, n: int) -> Fraction:
-    """Exact mean block count over the C(N, n) strings with n up-spins."""
-    if N < 2 or not 0 <= n <= N:
-        raise InvalidArgs(f"need 0 <= n <= N and N >= 2, got N={N}, n={n}")
-    return Fraction(n * (N - n), N - 1)
-
-
 def count_N1(n: int, k: int) -> int:
     """Total number of length-1 parts over all compositions of n into k parts."""
     if k < 1 or n < k:

@@ -23,13 +23,12 @@ import importlib
 import json
 import math
 import sys
-import warnings
 from typing import TYPE_CHECKING, Callable
 
 import click
 
 from . import _HOMES, _NAMES
-from .errors import EmptySpectrum, InvalidArgs, IsingError, NegativeDensityWarning
+from .errors import EmptySpectrum, InvalidArgs, IsingError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -263,10 +262,11 @@ def _analytic_values(kind: str, params: IsingParams, e_grid: np.ndarray) -> np.n
     if kind == "gaussian":
         if params.model == "tfim":
             return gaussian_density_tfim(e_grid / params.N, params) / params.N
+        import numpy as np
+
         scale = abscissa_scale(params, "eps")
-        with warnings.catch_warnings():  # the negative values are clamped at 0
-            warnings.simplefilter("ignore", NegativeDensityWarning)
-            return gaussian_density_two_fields(e_grid, params, clamp=True) / scale
+        values = gaussian_density_two_fields(e_grid, params)
+        return np.maximum(values, 0.0) / scale  # the cubic correction can go negative
     if kind == "saddle":
         return saddle_density_extensive(e_grid, params)
     if params.model != "tfim" or params.lam != 1.0:

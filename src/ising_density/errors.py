@@ -60,7 +60,3 @@ class EmptySpectrum(IsingError):
 
 class DisjointSupports(IsingError):
     """Two curves share no abscissa overlap to compare on."""
-
-
-class NegativeDensityWarning(UserWarning):
-    """The cubic-corrected two-field density went negative at extreme epsilon."""

@@ -24,7 +24,7 @@ long enough that no product of k local terms can wrap around it:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,24 +117,18 @@ class MomentSet:
     m2: float | None = None
     m3: float | None = None
     m4: float | None = None
-    max_order: int = field(default=4)
 
 
-def _check_cap(what: str, needed: int, max_bytes: int) -> None:
-    if needed > max_bytes:
-        raise CapExceeded(
-            f"{what} needs {needed} bytes (> cap of {max_bytes}); "
-            "raise max_bytes to override"
-        )
+def _check_cap(what: str, needed: int) -> None:
+    if needed > DEFAULT_MAX_BYTES:
+        raise CapExceeded(f"{what} needs {needed} bytes (> cap of {DEFAULT_MAX_BYTES})")
 
 
-def build_hamiltonian(
-    params: IsingParams, max_bytes: int = DEFAULT_MAX_BYTES
-) -> np.ndarray:
+def build_hamiltonian(params: IsingParams) -> np.ndarray:
     """Dense 2^N x 2^N Hamiltonian in the sigma^z basis (the small-N oracle)."""
     N = params.N
     dim = 1 << N
-    _check_cap(f"dense Hamiltonian for N={N}", dim * dim * 8, max_bytes)
+    _check_cap(f"dense Hamiltonian for N={N}", dim * dim * 8)
     b = np.arange(dim)
     popcount = np.zeros(dim, dtype=np.int64)
     for n in range(N):
@@ -167,9 +161,7 @@ def _orbits(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rep, shift, period
 
 
-def exact_spectrum(
-    params: IsingParams, max_bytes: int = DEFAULT_MAX_BYTES
-) -> ManyBodySpectrum:
+def exact_spectrum(params: IsingParams) -> ManyBodySpectrum:
     """All 2^N eigenvalues, sorted, by diagonalizing H in real momentum blocks.
 
     H commutes with T, so the momentum states |a(k)> ~ sum_r e^{-ikr} T^r |a>,
@@ -197,7 +189,7 @@ def exact_spectrum(
     # held twice during its solve (eigvalsh works on a copy), and the k = 0
     # block holds every orbit, at least 2^N / N of them.
     needed = max(160 * dim, 16 * (dim // N) ** 2)
-    _check_cap(f"diagonalizing N={N} in momentum blocks", needed, max_bytes)
+    _check_cap(f"diagonalizing N={N} in momentum blocks", needed)
     rep, shift, period = _orbits(N)
     reps = np.flatnonzero(rep == np.arange(dim))
     R = period[reps]
@@ -223,7 +215,7 @@ def exact_spectrum(
     diagonal = -lam * (N - 2 * popcount)
     momenta = [(k * R) % N == 0 for k in range(N // 2 + 1)]
     largest = max(int(keep.sum()) for keep in momenta)
-    _check_cap(f"momentum block of dimension {largest}", 16 * largest**2, max_bytes)
+    _check_cap(f"momentum block of dimension {largest}", 16 * largest**2)
     levels = []
     for k, keep in enumerate(momenta):
         n, pos = int(keep.sum()), np.cumsum(keep) - 1
@@ -266,7 +258,7 @@ def numeric_moments(spectrum: ManyBodySpectrum, max_order: int = 4) -> MomentSet
     except FloatingPointError:
         params = spectrum.params
         raise beyond_float_range("a spectral moment", params.lam, params.alpha) from None
-    return MomentSet(max_order=max_order, **values)
+    return MomentSet(**values)
 
 
 def analytic_moments(params: IsingParams) -> MomentSet:
@@ -292,4 +284,4 @@ def analytic_moments(params: IsingParams) -> MomentSet:
         m4 = math.inf
     if not math.isfinite(m4):  # m2 and m3 are finite wherever m4 is
         raise beyond_float_range("the closed-form moment m4", lam, alpha)
-    return MomentSet(m1=0.0, m2=N * w, m3=-6.0 * N * alpha**2, m4=m4, max_order=4)
+    return MomentSet(m1=0.0, m2=N * w, m3=-6.0 * N * alpha**2, m4=m4)

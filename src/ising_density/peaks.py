@@ -7,9 +7,9 @@ mixture of Gaussians, one per cluster.  Four regimes are covered:
 * **Transverse field only** -- clusters labelled by the occupation ``n`` of
   one-particle modes; the mixture uses binomial weights over all ``n`` for
   ``|lambda| >= 1`` and over even ``n`` (with doubled weight) below that.
-* **Both fields strong** -- clusters labelled by the number of spins
-  anti-aligned with the combined field; widths come from the hopping the
-  transverse part induces at fixed alignment.
+* **Both fields strong** -- clusters labelled by the number ``n`` of spins
+  aligned with the combined field (``n = N`` holds the ground state); widths
+  come from the hopping the transverse part induces at fixed alignment.
 * **Small coupling at unit longitudinal field** -- clusters labelled by the
   conserved combination ``R = 2k - n`` of aligned spins ``n`` and aligned
   blocks ``k``; centers carry a second-order correction and widths follow
@@ -59,7 +59,6 @@ from .errors import (
     beyond_float_range,
 )
 from .fermion import momentum_grid, one_particle_energy
-from .quadrature import g_phi, integrate_phi
 
 XX_PROJECTION_MAX_SITES = 12
 
@@ -198,27 +197,6 @@ class XXProjectionReport:
 # ----------------------------------------------------------------------------
 
 
-def mean_one_particle_energy(lam: float, N: int | None = None) -> float:
-    """Average one-particle energy <e> at coupling lam.
-
-    With ``N`` given this is the exact finite-ring average
-    ``sum_j e(phi_j) / (2N)`` over the antiperiodic momenta; without it,
-    the thermodynamic limit ``(1/2pi) int_0^{2pi} g(phi) dphi``.
-    """
-    lam = float(lam)
-    if N is None:
-        return integrate_phi(lambda phi: g_phi(phi, lam)) / (2.0 * math.pi)
-    phis = momentum_grid(N, "even")
-    return float(np.sum(one_particle_energy(lam, phis))) / (2 * N)
-
-
-def _require_occupation(N: int, n: int) -> None:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise InvalidArgs(f"occupation n must be an integer, got {n!r}")
-    if n < 0 or n > N:
-        raise InvalidArgs(f"occupation n must satisfy 0 <= n <= N, got n={n}, N={N}")
-
-
 # Overflowing couplings give non-finite moments, which are refused by name.
 @np.errstate(over="ignore", invalid="ignore")
 def _tfim_moments(N: int, lam: float, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -233,22 +211,14 @@ def _tfim_moments(N: int, lam: float, n: np.ndarray) -> tuple[np.ndarray, np.nda
     return mean, np.where(var < 0.0, 0.0, var)
 
 
-def tfim_fixed_n_moments(N: int, lam: float, n: int) -> tuple[float, float]:
-    """Mean and variance of the n-occupation cluster at transverse coupling lam.
+def tfim_mixture_components(N: int, lam: float) -> GaussianMixture:
+    """Binomial mixture over occupation clusters for the transverse-field ring.
 
-    The cluster collects the C(N, n) ways of occupying n of the N
+    Cluster ``n`` collects the C(N, n) ways of occupying n of the N
     antiperiodic one-particle levels.  Its mean is ``(N - 2n) <e>`` (the sign
     convention mirrors occupation n -> N - n) and its variance is the
     without-replacement sampling variance
     ``4 n (N - n) / (N - 1) * (<e^2> - <e>^2)``.
-    """
-    _require_occupation(N, n)
-    mean, var = _tfim_moments(N, float(lam), np.array([n]))
-    return float(mean[0]), float(var[0])
-
-
-def tfim_mixture_components(N: int, lam: float) -> GaussianMixture:
-    """Binomial mixture over occupation clusters for the transverse-field ring.
 
     For ``|lambda| >= 1`` every occupation contributes with weight
     ``C(N, n) / 2^N``; below that only even occupations appear, with doubled
@@ -339,23 +309,14 @@ def _strong_field_moments(
     return mean, var
 
 
-def strong_field_moments(
-    N: int, lam: float, alpha: float, n: int
-) -> tuple[float, float]:
-    """Mean and variance of the n-th anti-alignment cluster at strong fields.
-
-    ``n`` counts spins anti-aligned with the combined field of magnitude
-    ``sqrt(lambda^2 + alpha^2)``.  The mean carries the first-order bond
-    average at fixed alignment; the variance keeps the transverse hopping
-    contribution, which dominates the width.
-    """
-    _require_occupation(N, n)
-    mean, var = _strong_field_moments(N, float(lam), float(alpha), np.array([n]))
-    return float(mean[0]), float(var[0])
-
-
 def strong_field_components(N: int, lam: float, alpha: float) -> GaussianMixture:
-    """Binomial mixture over anti-alignment clusters at strong fields."""
+    """Binomial mixture over alignment clusters at strong fields.
+
+    Component ``n`` collects the C(N, n) states with ``n`` spins aligned with
+    the combined field of magnitude ``r = sqrt(lambda^2 + alpha^2)``: its mean
+    ``r (N - 2n)`` plus the first-order bond average at fixed alignment, its
+    variance the transverse hopping contribution, which dominates the width.
+    """
     n = np.arange(N + 1)
     mean, var = _strong_field_moments(N, float(lam), float(alpha), n)
     w = _exact_shares(map(partial(math.comb, N), n.tolist()), 2**N)
@@ -583,15 +544,22 @@ def generic_alpha_components(N: int, lam: float, alpha: float) -> GaussianMixtur
 # ----------------------------------------------------------------------------
 
 
+def _require_occupation(N: int, n: int) -> None:
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise InvalidArgs(f"occupation n must be an integer, got {n!r}")
+    if n < 0 or n > N:
+        raise InvalidArgs(f"occupation n must satisfy 0 <= n <= N, got n={n}, N={N}")
+
+
 def xx_projection_check(N: int, lam: float, alpha: float, n: int) -> XXProjectionReport:
     """Build the fixed-alignment hopping block and compare moments to formulas.
 
-    At strong fields the block of the rotated Hamiltonian with ``n``
-    anti-aligned spins is ``sqrt(lambda^2 + alpha^2) (N - 2n)`` plus an XX
-    hopping term of amplitude ``-lambda^2 / (lambda^2 + alpha^2)`` on the
-    ring.  The report carries the block's exact first two spectral moments
-    (computed from traces of the explicit matrix) next to the closed forms
-    used by :func:`strong_field_moments`.
+    At strong fields the block of the rotated Hamiltonian with ``n`` spins
+    aligned with the combined field is ``sqrt(lambda^2 + alpha^2) (N - 2n)``
+    plus an XX hopping term of amplitude ``-lambda^2 / (lambda^2 + alpha^2)``
+    on the ring.  The report carries the block's exact first two spectral
+    moments (computed from traces of the explicit matrix) next to the closed
+    forms used by :func:`strong_field_components`.
     """
     _require_ring(N)
     if N > XX_PROJECTION_MAX_SITES:

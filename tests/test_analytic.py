@@ -23,14 +23,12 @@ from ising_density.analytic import (
     ground_state_energy_per_spin,
     saddle_density,
     saddle_density_extensive,
-    solve_saddle,
     tail_density_critical,
 )
 from ising_density import quadrature
 from ising_density.errors import (
     AtOrBelowGroundState,
     InvalidArgs,
-    NegativeDensityWarning,
     NoConvergence,
     OutOfSupport,
 )
@@ -47,6 +45,12 @@ def quad_rhs(beta: float, lam: float) -> float:
     lo, _ = quad(integrand, 0, math.pi, epsabs=1e-13, epsrel=1e-13, limit=200)
     hi, _ = quad(integrand, math.pi, 2 * math.pi, epsabs=1e-13, epsrel=1e-13, limit=200)
     return lo + hi
+
+
+def one_point_saddle(e: float, lam: float) -> tuple[float, float, float]:
+    """beta_sp, entropy S and curvature Integral g^2 sech^2 at one e."""
+    beta, entropy, curvature = analytic._saddle_grid(np.array([float(e)]), lam)
+    return float(beta[0]), float(entropy[0]), float(curvature[0])
 
 
 def test_ground_state_energy_per_spin_values() -> None:
@@ -71,11 +75,13 @@ def test_ground_state_energy_against_scipy() -> None:
 
 
 def test_solve_saddle_at_zero_energy() -> None:
-    sol = solve_saddle(0.0, 1.0, N=16)
-    assert abs(sol.beta_sp) <= 1e-10
-    assert abs(sol.entropy) <= 1e-12
+    beta, entropy, curvature = one_point_saddle(0.0, 1.0)
+    assert abs(beta) <= 1e-10
+    assert abs(entropy) <= 1e-12
     # At beta = 0 the prefactor integral is 2 pi (1 + lambda^2).
-    assert sol.prefactor == pytest.approx(math.sqrt(16 / (4 * math.pi)), rel=1e-9)
+    assert math.sqrt(16 / curvature) == pytest.approx(
+        math.sqrt(16 / (4 * math.pi)), rel=1e-9
+    )
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
@@ -84,12 +90,12 @@ def test_solve_saddle_residual_on_grid(lam: float) -> None:
     grid = np.linspace(0.995 * e_gs, -0.995 * e_gs, 100)
     betas = []
     for e in grid:
-        sol = solve_saddle(float(e), lam)
-        assert abs(quad_rhs(sol.beta_sp, lam) - e) <= 1e-10
-        assert sol.entropy <= 1e-12
-        betas.append(sol.beta_sp)
+        beta, entropy, _ = one_point_saddle(e, lam)
+        assert abs(quad_rhs(beta, lam) - e) <= 1e-10
+        assert entropy <= 1e-12
+        betas.append(beta)
         if e != 0.0:
-            assert sol.beta_sp * e < 0.0
+            assert beta * e < 0.0
     assert all(b1 > b2 for b1, b2 in zip(betas, betas[1:]))
 
 
@@ -97,7 +103,7 @@ def test_solve_saddle_out_of_support() -> None:
     e_gs = ground_state_energy_per_spin(1.0)
     for e in (e_gs, -e_gs, 1.5 * e_gs, 2.0):
         with pytest.raises(OutOfSupport):
-            solve_saddle(e, 1.0)
+            saddle_density(e, IsingParams.tfim(16, 1.0))
 
 
 def test_saddle_density_peak_matches_gaussian_closed_form() -> None:
@@ -136,8 +142,8 @@ def test_saddle_grid_matches_one_point_solves(lam: float) -> None:
     values = saddle_density_extensive(grid * N, IsingParams.tfim(N, lam))
     expected = []
     for e in grid:
-        sol = solve_saddle(float(e), lam, N=N)
-        expected.append(sol.prefactor * math.exp(N * sol.entropy) / N)
+        _, entropy, curvature = one_point_saddle(e, lam)
+        expected.append(math.sqrt(N / curvature) * math.exp(N * entropy) / N)
     np.testing.assert_allclose(values, expected, rtol=1e-13, atol=0)
     assert isinstance(saddle_density_extensive(0.5, IsingParams.tfim(N, lam)), float)
 
@@ -148,9 +154,10 @@ def test_saddle_next_to_a_gapped_band_edge(lam: float) -> None:
     relative; the solve stops at the residual's rounding floor instead."""
     e_gs = ground_state_energy_per_spin(lam)
     for e in (0.99999 * e_gs, -0.99999 * e_gs):
-        sol = solve_saddle(e, lam, N=16)
-        assert abs(quad_rhs(sol.beta_sp, lam) - e) <= 1e-10
-        assert math.isfinite(sol.prefactor) and sol.prefactor > 0.0
+        beta, _, curvature = one_point_saddle(e, lam)
+        assert abs(quad_rhs(beta, lam) - e) <= 1e-10
+        prefactor = math.sqrt(16 / curvature)
+        assert math.isfinite(prefactor) and prefactor > 0.0
 
 
 def test_saddle_grid_with_a_point_beyond_the_band_edge() -> None:
@@ -226,7 +233,6 @@ def test_two_field_density_alpha_zero_is_gaussian() -> None:
         )
 
 
-@pytest.mark.filterwarnings("ignore::ising_density.errors.NegativeDensityWarning")
 def test_two_field_correction_integrates_to_zero() -> None:
     params = IsingParams.two_field(12, 0.5, 1.5)
     plain = IsingParams.two_field(12, 0.5, 0.0)
@@ -240,17 +246,6 @@ def test_two_field_correction_integrates_to_zero() -> None:
         [gaussian_density_two_fields(float(x) * s_plain, plain) for x in eps]
     )
     assert abs(np.trapezoid(corrected - gaussian, eps)) <= 1e-6
-
-
-def test_two_field_density_negative_warns() -> None:
-    params = IsingParams.two_field(4, 0.0, 2.0)
-    E = 3.0 * math.sqrt(4 * 5.0)
-    with pytest.warns(NegativeDensityWarning):
-        value = gaussian_density_two_fields(E, params)
-    assert value < 0.0
-    with pytest.warns(NegativeDensityWarning):
-        clamped = gaussian_density_two_fields(E, params, clamp=True)
-    assert clamped == 0.0
 
 
 def test_rescaled_energy() -> None:

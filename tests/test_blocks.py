@@ -26,7 +26,6 @@ from ising_density.blocks import (
     count_Nc,
     degeneracy_census,
     f_count,
-    k_bar,
 )
 from ising_density.errors import CapExceeded, InvalidArgs
 
@@ -150,16 +149,7 @@ def test_mean_block_count_identity(N: int) -> None:
         weighted = sum(
             k * census.table[(n, k)] for k in range(1, min(n, N - n) + 1)
         )
-        assert Fraction(weighted, comb(N, n)) == k_bar(N, n)
-
-
-def test_k_bar_values() -> None:
-    assert k_bar(7, 1) == 1
-    assert k_bar(5, 2) == Fraction(3, 2)
-    assert k_bar(11, 0) == 0
-    assert k_bar(6, 3) == Fraction(9, 5)
-    with pytest.raises(InvalidArgs):
-        k_bar(6, 7)
+        assert Fraction(weighted, comb(N, n)) == Fraction(n * (N - n), N - 1)
 
 
 def test_transition_count_examples() -> None:

@@ -329,7 +329,7 @@ class TestApprox:
         assert not out.exists()
 
     @pytest.mark.parametrize("kind,lam,code", [
-        ("saddle", "1e300", "NoConvergence"),
+        ("saddle", "1e300", "InvalidArgs"),
         ("multi-strong", "1e100", "InvalidArgs"),
     ])
     def test_extreme_couplings_are_compute_errors(

@@ -275,6 +275,19 @@ HUGE_GRID = ["--n", "16", "--lambda", "0.3", "--grid=1e307:1.5e307:2", "--per-sp
      "eps at lambda = 1e+200"),
     (["approx", "--kind", "gaussian", "--n", "8", "--lambda", "1e300",
       "--grid=-3:3:4", "--out", "g.csv"], {}, 1, "width at lambda = 1e+300"),
+    # Couplings whose cubic correction or saddle curvature leaves float range.
+    (["approx", "--kind", "gaussian", "--n", "8", "--lambda", "1e110", "--alpha", "1",
+      "--grid=-1:1:3", "--out", "g.csv"], {}, 1,
+     "correction at lambda = 1e+110, alpha = 1.0"),
+    (["approx", "--kind", "gaussian", "--n", "8", "--lambda", "1", "--alpha", "1e110",
+      "--grid=-1:1:3", "--out", "g.csv"], {}, 1,
+     "correction at lambda = 1.0, alpha = 1e+110"),
+    (["approx", "--kind", "saddle", "--n", "8", "--lambda", "1.3e154",
+      "--grid=-0.5:0.5:5", "--per-spin", "--out", "s.csv"], {}, 1,
+     "curvature integral at lambda = 1.3e+154"),
+    (["approx", "--kind", "saddle", "--n", "8", "--lambda", "1e300",
+      "--grid=-0.5:0.5:5", "--per-spin", "--out", "s.csv"], {}, 1,
+     "curvature integral at lambda = 1e+300"),
     # Bins or kernels that cannot span, or resolve, the spectrum.
     (["density", "--in", "s.csv", "--bins", "4", "--out", "d.csv"], {"s.csv": WIDE},
      1, "[-1e+308, 1e+308]"),
@@ -296,7 +309,9 @@ HUGE_GRID = ["--n", "16", "--lambda", "0.3", "--grid=1e307:1.5e307:2", "--per-sp
 ], ids=[
     "grid-inf-end", "grid-span-overflow", "multi-tfim-scaled-overflow",
     "gaussian-scaled-overflow", "gaussian-eps-overflow", "saddle-eps-overflow",
-    "gaussian-width-overflow", "bins-wide", "kde-wide", "bins-tiny-400",
+    "gaussian-width-overflow", "gaussian-cubic-lambda-overflow",
+    "gaussian-cubic-alpha-overflow", "saddle-curvature-overflow",
+    "saddle-curvature-far-overflow", "bins-wide", "kde-wide", "bins-tiny-400",
     "bins-tiny-default", "kde-huge-bandwidth", "compare-inf-abscissae",
     "compare-minus-inf-abscissa", "compare-inf-density",
 ])
@@ -309,6 +324,22 @@ def test_extreme_input_is_refused_in_one_line(args, files, code, named):
         assert named in error["message"]
     else:
         assert named in result.stderr
+
+
+@pytest.mark.parametrize("abscissa", [[], ["--per-spin"], ["--rescaled"]])
+@pytest.mark.parametrize("alpha", ["1e103", "1e130", "1e150"])
+@pytest.mark.parametrize("lam", ["1e103", "1e130", "1e150"])
+def test_two_field_gaussian_at_huge_couplings(lam, alpha, abscissa):
+    # Between these couplings and about 1.34e154 the rescaled abscissa is
+    # finite but (1 + lambda^2 + alpha^2)^1.5 is not.
+    args = ["approx", "--kind", "gaussian", "--model", "two-field", "--n", "8",
+            "--lambda", lam, "--alpha", alpha, "--grid=-1:1:3", *abscissa,
+            "--out", "g.csv"]
+    result = invoke_quietly(args)
+    if result.exit_code == 1:
+        assert json.loads(result.stderr)["code"] == "InvalidArgs"
+    else:
+        assert result.exit_code == 0, result.stderr
 
 
 def test_cli_clamps_negative_cubic_corrected_density_quietly():

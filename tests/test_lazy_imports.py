@@ -1,9 +1,11 @@
 """Tests that each subcommand imports only the modules it runs, that the
-package and CLI names resolve lazily to their home modules, and that the
-benchmark tracer can still replace the names the commands call."""
+package and CLI names resolve lazily to their home modules, that every public
+name has a caller outside the unit tests, and that the benchmark tracer can
+still replace the names the commands call."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -16,7 +18,8 @@ from ising_density import cli
 from ising_density.model import IsingParams, exact_spectrum
 from ising_density.table import SPECTRUM_HEADER, write_table
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 # Submodules every CLI process loads: the CLI and the error classes behind
 # the exit-1 convention.
@@ -158,3 +161,38 @@ def test_package_unknown_name_raises_attribute_error():
         ising_density.no_such_name
     with pytest.raises(ImportError):
         exec("from ising_density import no_such_name", {})
+
+
+def _references(tree: ast.AST, skip: str | None = None) -> set[str]:
+    """Names a tree refers to by a Name, an Attribute, an import alias or a
+    string that is exactly an identifier (as ``getattr`` and ``setattr`` take
+    it: the benchmark tracer wraps ``build_hamiltonian`` that way), leaving
+    out the body of each definition from the name it defines."""
+    found: set[str] = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found |= _references(node, skip=node.name)
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.asname or node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)  # only an identifier can match a name
+        found |= _references(node, skip)
+    return found - {skip}
+
+
+def test_every_public_name_has_a_caller_outside_the_unit_tests():
+    sources = [
+        *(p for p in (ROOT / "src" / "ising_density").glob("*.py")
+          if p.name != "__init__.py"),
+        *(ROOT / "bench").glob("*.py"),
+        ROOT / "tests" / "test_acceptance.py",
+    ]
+    used: set[str] = set()
+    for path in sources:
+        used |= _references(ast.parse(path.read_text(encoding="utf-8")))
+    assert sorted(set(ising_density._HOMES) - used) == []

@@ -13,6 +13,7 @@ import itertools
 import numpy as np
 import pytest
 
+from ising_density import model
 from ising_density.errors import CapExceeded, InvalidArgs
 from ising_density.fermion import enumerate_spectrum
 from ising_density.model import (
@@ -142,22 +143,25 @@ def test_tfim_lambda_negation_invariance(N: int, lam: float) -> None:
     np.testing.assert_allclose(E_pos, E_neg, atol=1e-9)
 
 
-def test_cap_exceeded() -> None:
+def test_cap_exceeded(monkeypatch) -> None:
     with pytest.raises(CapExceeded):
         build_hamiltonian(IsingParams.tfim(15, 1.0))
+    monkeypatch.setattr(model, "DEFAULT_MAX_BYTES", 1000)  # read at call time
     with pytest.raises(CapExceeded):
-        exact_spectrum(IsingParams.tfim(8, 1.0), max_bytes=1000)
+        exact_spectrum(IsingParams.tfim(8, 1.0))
 
 
-def test_cap_counts_the_solver_copy_of_the_largest_block() -> None:
+def test_cap_counts_the_solver_copy_of_the_largest_block(monkeypatch) -> None:
     # At N = 12 the largest block is k = 0, one row per orbit: 352 of them.
     # Every block is real, 8 bytes per entry, and eigvalsh works on a copy,
     # so the solve holds the block twice.
     params = IsingParams.tfim(12, 1.0)
     one_copy = 8 * 352**2
+    monkeypatch.setattr(model, "DEFAULT_MAX_BYTES", 3 * one_copy // 2)
     with pytest.raises(CapExceeded):
-        exact_spectrum(params, max_bytes=3 * one_copy // 2)
-    assert len(exact_spectrum(params, max_bytes=2 * one_copy).energies) == 2**12
+        exact_spectrum(params)
+    monkeypatch.setattr(model, "DEFAULT_MAX_BYTES", 2 * one_copy)
+    assert len(exact_spectrum(params).energies) == 2**12
 
 
 @pytest.mark.parametrize("N", range(2, 11))

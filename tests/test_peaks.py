@@ -57,20 +57,17 @@ from ising_density.peaks import (
     Visibility,
     XXProjectionReport,
     generic_alpha_components,
-    mean_one_particle_energy,
     small_lambda_components,
     small_lambda_deltaE,
     small_lambda_deltaE_R,
     small_lambda_ER,
     small_lambda_sigmaR,
     strong_field_components,
-    strong_field_moments,
-    tfim_fixed_n_moments,
     tfim_mixture_components,
     visibility_Nmax,
     xx_projection_check,
 )
-from ising_density.peaks import _unit_alpha_classes
+from ising_density.peaks import _tfim_moments, _unit_alpha_classes
 
 # ----------------------------------------------------------------------------
 # oracles
@@ -152,6 +149,19 @@ def cluster_by_nearest(energies: np.ndarray, centers: np.ndarray) -> list[np.nda
 def finite_e_avg(N: int, lam: float) -> float:
     phis = momentum_grid(N, "even")
     return float(np.sum(one_particle_energy(lam, phis))) / (2 * N)
+
+
+def tfim_cluster(N: int, lam: float, n: int) -> tuple[float, float]:
+    """Mean and variance of the n-occupation cluster.  The mixture keeps only
+    even n below |lambda| = 1, so the row comes from its formula directly."""
+    mean, var = _tfim_moments(N, lam, np.array([n]))
+    return float(mean[0]), float(var[0])
+
+
+def strong_cluster(N: int, lam: float, alpha: float, n: int) -> tuple[float, float]:
+    """Mean and variance of component n of the strong-field mixture."""
+    component = strong_field_components(N, lam, alpha).components[n]
+    return component.mu, component.var
 
 
 # ----------------------------------------------------------------------------
@@ -316,34 +326,6 @@ class TestGaussianMixture:
 
 
 # ----------------------------------------------------------------------------
-# one-particle average
-# ----------------------------------------------------------------------------
-
-
-class TestMeanOneParticleEnergy:
-    def test_free_point_is_exactly_one(self):
-        assert mean_one_particle_energy(0.0, N=8) == pytest.approx(1.0, rel=1e-14)
-        assert mean_one_particle_energy(0.0) == pytest.approx(1.0, rel=1e-12)
-
-    def test_critical_integral_value(self):
-        # (1/2pi) Int_0^{2pi} sqrt(2 - 2 cos phi) dphi
-        #   = (1/2pi) Int 2 |sin(phi/2)| dphi = 4/pi.
-        assert mean_one_particle_energy(1.0) == pytest.approx(4.0 / math.pi, rel=1e-12)
-
-    def test_finite_sum_converges_to_integral(self):
-        lam = 0.7
-        finite = mean_one_particle_energy(lam, N=2000)
-        limit = mean_one_particle_energy(lam)
-        assert finite == pytest.approx(limit, abs=1e-6)
-
-    def test_matches_momentum_grid_sum(self):
-        N, lam = 10, 1.3
-        assert mean_one_particle_energy(lam, N=N) == pytest.approx(
-            finite_e_avg(N, lam), rel=1e-14
-        )
-
-
-# ----------------------------------------------------------------------------
 # transverse-field fixed-n moments
 # ----------------------------------------------------------------------------
 
@@ -351,12 +333,12 @@ class TestMeanOneParticleEnergy:
 class TestTfimFixedNMoments:
     @pytest.mark.parametrize("n", [0, 1, 3, 6, 8])
     def test_free_point(self, n):
-        mean, var = tfim_fixed_n_moments(8, 0.0, n)
+        mean, var = tfim_cluster(8, 0.0, n)
         assert mean == pytest.approx(8 - 2 * n, rel=1e-14, abs=1e-14)
         assert var == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_subset_has_zero_variance(self):
-        _, var = tfim_fixed_n_moments(10, 1.7, 0)
+        _, var = tfim_cluster(10, 1.7, 0)
         assert var == pytest.approx(0.0, abs=1e-12)
 
     def test_against_exhaustive_subset_oracle(self):
@@ -369,31 +351,25 @@ class TestTfimFixedNMoments:
         sums = np.array(
             [sum(c) + offset for c in itertools.combinations(es, n)]
         )
-        mean, var = tfim_fixed_n_moments(N, lam, n)
+        mean, var = tfim_cluster(N, lam, n)
         assert var == pytest.approx(float(np.var(sums)), rel=1e-12)
         assert mean == pytest.approx(-float(np.mean(sums)), rel=1e-12)
 
     def test_single_level_variance_is_population_variance(self):
         N, lam = 10, 0.6
         es = one_particle_energy(lam, momentum_grid(N, "even"))
-        _, var = tfim_fixed_n_moments(N, lam, 1)
+        _, var = tfim_cluster(N, lam, 1)
         assert var == pytest.approx(float(np.var(es)), rel=1e-12)
 
     def test_variance_symmetric_under_occupation_complement(self):
         for n in range(0, 13):
-            _, v1 = tfim_fixed_n_moments(12, 0.8, n)
-            _, v2 = tfim_fixed_n_moments(12, 0.8, 12 - n)
+            _, v1 = tfim_cluster(12, 0.8, n)
+            _, v2 = tfim_cluster(12, 0.8, 12 - n)
             assert v1 == pytest.approx(v2, rel=1e-13, abs=1e-13)
-
-    def test_invalid_occupation_rejected(self):
-        with pytest.raises(InvalidArgs):
-            tfim_fixed_n_moments(8, 1.0, -1)
-        with pytest.raises(InvalidArgs):
-            tfim_fixed_n_moments(8, 1.0, 9)
 
     def test_odd_ring_rejected(self):
         with pytest.raises(OddN):
-            tfim_fixed_n_moments(7, 1.0, 2)
+            tfim_cluster(7, 1.0, 2)
 
 
 class TestTfimMixture:
@@ -491,12 +467,12 @@ class TestVisibility:
 
 class TestStrongFieldMoments:
     def test_polarized_example(self):
-        mean, var = strong_field_moments(5, 3.0, 4.0, 0)
+        mean, var = strong_cluster(5, 3.0, 4.0, 0)
         assert mean == pytest.approx(21.8, rel=1e-14)
         assert var == pytest.approx(0.0, abs=1e-14)
 
     def test_central_variance_value(self):
-        _, var = strong_field_moments(10, 4.0, 0.5, 5)
+        _, var = strong_cluster(10, 4.0, 0.5, 5)
         assert var == pytest.approx((50.0 / 9.0) * 256.0 / 16.25**2, rel=1e-12)
 
     def test_reduces_to_transverse_case_at_large_coupling(self):
@@ -504,14 +480,10 @@ class TestStrongFieldMoments:
         # O(1/lambda^2) corrections; measured offsets at lambda = 50 are
         # ~1e-4 relative.
         N, lam, n = 8, 50.0, 3
-        s_mean, s_var = strong_field_moments(N, lam, 0.0, n)
-        t_mean, t_var = tfim_fixed_n_moments(N, lam, n)
+        s_mean, s_var = strong_cluster(N, lam, 0.0, n)
+        t_mean, t_var = tfim_cluster(N, lam, n)
         assert s_mean == pytest.approx(t_mean, rel=1e-3)
         assert s_var == pytest.approx(t_var, rel=1e-3)
-
-    def test_invalid_occupation_rejected(self):
-        with pytest.raises(InvalidArgs):
-            strong_field_moments(8, 2.0, 0.5, 9)
 
     def test_cluster_statistics_against_dense_spectrum(self):
         # Fields strong enough that the hopping width dominates the
@@ -524,12 +496,20 @@ class TestStrongFieldMoments:
         clusters = cluster_by_nearest(energies, means)
         assert [len(c) for c in clusters] == [math.comb(N, n) for n in range(N + 1)]
         for n in (3, 5):
-            mean, var = strong_field_moments(N, lam, alpha, n)
+            mean, var = strong_cluster(N, lam, alpha, n)
             assert abs(float(np.mean(clusters[n])) - mean) < 0.2
             assert float(np.var(clusters[n])) == pytest.approx(var, rel=0.05)
 
 
 class TestStrongFieldMixture:
+    def test_last_component_holds_the_ground_state(self):
+        # n counts spins aligned with the combined field: at n = N the mean is
+        # -24.55, next to the exact ground state -25.37; n = 0 sits at +24.11.
+        N, lam, alpha = 8, 3.0, 0.5
+        ground = dense_energies(N, lam, alpha)[0]
+        mix = strong_field_components(N, lam, alpha)
+        assert int(np.argmin(np.abs(mix.mu - ground))) == N
+
     def test_unit_integral(self):
         grid = np.linspace(-50.0, 50.0, 4001)
         curve = strong_field_components(12, 3.0, 0.5).density_curve(grid)
@@ -1018,7 +998,7 @@ class TestXXProjection:
     def test_matches_strong_field_variance(self):
         N, lam, alpha, n = 10, 3.0, 4.0, 4
         report = xx_projection_check(N, lam, alpha, n)
-        _, var = strong_field_moments(N, lam, alpha, n)
+        _, var = strong_cluster(N, lam, alpha, n)
         # The strong-field width keeps only the hopping part, which is
         # exactly the projected second moment.
         assert report.variance_formula == pytest.approx(var, rel=1e-12)
@@ -1038,9 +1018,9 @@ class TestXXProjection:
 
 
 @pytest.mark.parametrize("formula,what,lam,alpha", [
-    (lambda: tfim_fixed_n_moments(8, 1e300, 3), "a transverse-field cluster moment",
+    (lambda: _tfim_moments(8, 1e300, np.array([3])), "a transverse-field cluster moment",
      1e300, 0.0),
-    (lambda: strong_field_moments(8, 1e100, 1.0, 3), "a strong-field cluster moment",
+    (lambda: strong_field_components(8, 1e100, 1.0), "a strong-field cluster moment",
      1e100, 1.0),
     (lambda: small_lambda_ER(8, 1e300, 0), "a class center E_R", 1e300, 1.0),
     (lambda: small_lambda_deltaE_R(8, 1e100, 0), "the class shift prefactor",
