@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -22,6 +22,8 @@ from .model import ABSCISSAE, IsingParams, ManyBodySpectrum, abscissa_scale
 from .table import CURVE_HEADER, Table, read_table, write_table
 
 MAX_DEFAULT_BINS = 400
+# The most bins a histogram may have: as many as the points of a --grid.
+MAX_BINS = 200_001
 PEAK_PROMINENCE_FRACTION = 0.01
 # KDE lattice step in bandwidths: (step / h)^2 / 8 <= 1e-6.
 KDE_LATTICE_STEP = math.sqrt(8.0) * 1e-3
@@ -93,11 +95,13 @@ def histogram(spectrum: ManyBodySpectrum, bins: int | None = None) -> DensityCur
         raise EmptySpectrum("cannot histogram an empty spectrum")
     if bins is None:
         bins = min(MAX_DEFAULT_BINS, max(2, math.ceil(math.sqrt(len(energies)))))
-    if bins < 2:
-        raise InvalidArgs(f"need at least 2 bins, got {bins}")
+    if not 2 <= bins <= MAX_BINS:
+        raise InvalidArgs(f"need 2 to {MAX_BINS} bins, got {bins}")
     lo, hi = float(energies.min()), float(energies.max())
     if hi <= lo:
-        return DensityCurve(np.array([lo - 1.0, lo, lo + 1.0]), np.array([0.0, 1.0, 0.0]))
+        # One bin of width p; from |lo| >= 2^53 on, lo +- 1 would round to lo.
+        p = max(1.0, math.ulp(lo))
+        return DensityCurve(np.array([lo - p, lo, lo + p]), np.array([0.0, 1.0 / p, 0.0]))
     # The edges np.histogram draws.  Where they, or the padded centers and
     # densities, overflow or collide, the node and curve rules refuse them.
     with np.errstate(all="ignore"):
@@ -308,20 +312,18 @@ def compare(curve_a: DensityCurve, curve_b: DensityCurve) -> ComparisonReport:
     )
 
 
-def write_curve_csv(
-    curve: DensityCurve, destination: str | IO[str], metadata: dict | None = None
-) -> None:
+def write_curve_csv(curve: DensityCurve, path: str, metadata: dict | None = None) -> None:
     """Write a curve as CSV with `# key = value` metadata comment lines."""
     metadata = {**(metadata or {}), "abscissa": curve.abscissa, "norm": "unit"}
     # A memoryview yields Python floats one at a time, with no list per column.
     rows = zip(memoryview(curve.grid), memoryview(curve.values))
-    write_table(destination, metadata, CURVE_HEADER, rows)
+    write_table(path, metadata, CURVE_HEADER, rows)
 
 
-def read_curve_csv(source: str | IO[str] | Table) -> tuple[DensityCurve, dict]:
+def read_curve_csv(source: str | Table) -> tuple[DensityCurve, dict]:
     """Read a curve written by write_curve_csv; metadata values stay strings.
 
-    ``source`` is a path, an open text handle, or a table already read.
+    ``source`` is a path or a table already read.
     """
     table = source if isinstance(source, Table) else read_table(source)
     if table.header != CURVE_HEADER:

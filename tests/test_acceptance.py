@@ -182,7 +182,7 @@ def test_criterion_05_cubic_correction_improvement() -> None:
 
 
 # ----------------------------------------------------------------------------
-# 6. generic-alpha mixture peaks line up with the histogram (N = 12)
+# 6. strong-field mixture peaks line up with the histogram (N = 12)
 # ----------------------------------------------------------------------------
 
 

@@ -11,8 +11,8 @@ couplings (ring sizes up to 1100 for the two binomial mixtures) and grid
 ends at the edges of float range; ``spectrum`` by either method and
 ``moments`` for both models on small rings; ``census`` on rings from -3 to
 40 sites, with and without a rational ``--alpha``; and ``density`` /
-``compare`` on malformed, missing, unreadable or extreme-valued CSVs, each
-with writable and unwritable ``--out`` paths.
+``compare`` on malformed, missing, unreadable or extreme-valued CSVs, with
+bin counts up to 2**62, each with writable and unwritable ``--out`` paths.
 """
 
 from __future__ import annotations
@@ -224,7 +224,7 @@ def test_census_contract(n, alpha, out):
 @CONTRACT
 @given(
     inputs,
-    st.one_of(st.none(), st.integers(-1, 30)),
+    st.one_of(st.none(), st.integers(-1, 30), st.sampled_from([200_002, 2**62])),
     st.one_of(st.none(), numbers),
     outs,
 )
@@ -299,6 +299,8 @@ HUGE_GRID = ["--n", "16", "--lambda", "0.3", "--grid=1e307:1.5e307:2", "--per-sp
      1, "densities on ["),
     (["density", "--in", "s.csv", "--kde", "1e308", "--out", "d.csv"],
      {"s.csv": spectrum_csv("-2", "-1", "1", "2", n=4)}, 1, "bandwidth 1e+308"),
+    (["density", "--in", "s.csv", "--bins", str(2**62), "--out", "d.csv"],
+     {"s.csv": spectrum_csv("-2", "-1", "1", "2", n=4)}, 1, f"got {2**62}"),
     # Curve files whose nodes or densities break the curve rule.
     (["compare", "--a", "a.csv", "--b", "b.csv", "--out", "r.json"],
      {"a.csv": curve_csv(("inf", "0.0"), ("inf", "0.0")), "b.csv": UNIT}, 1, "a.csv"),
@@ -312,7 +314,7 @@ HUGE_GRID = ["--n", "16", "--lambda", "0.3", "--grid=1e307:1.5e307:2", "--per-sp
     "gaussian-width-overflow", "gaussian-cubic-lambda-overflow",
     "gaussian-cubic-alpha-overflow", "saddle-curvature-overflow",
     "saddle-curvature-far-overflow", "bins-wide", "kde-wide", "bins-tiny-400",
-    "bins-tiny-default", "kde-huge-bandwidth", "compare-inf-abscissae",
+    "bins-tiny-default", "kde-huge-bandwidth", "bins-huge", "compare-inf-abscissae",
     "compare-minus-inf-abscissa", "compare-inf-density",
 ])
 def test_extreme_input_is_refused_in_one_line(args, files, code, named):

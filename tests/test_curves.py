@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import math
 
 import numpy as np
@@ -13,6 +12,7 @@ from scipy.signal import find_peaks
 
 from ising_density import table
 from ising_density.curves import (
+    MAX_BINS,
     PEAK_PROMINENCE_FRACTION,
     ComparisonReport,
     DensityCurve,
@@ -72,11 +72,20 @@ def test_histogram_degenerate_spectrum() -> None:
     assert curve.grid[np.argmax(curve.values)] == pytest.approx(1.5)
 
 
+def test_histogram_single_level_beyond_2_to_53() -> None:
+    # lo +- 1 rounds to lo here, so the padding is one ulp of lo wide.
+    curve = histogram(make_spectrum([1e16, 1e16, 1e16]), bins=4)
+    assert curve.grid.tolist() == [1e16 - 2.0, 1e16, 1e16 + 2.0]
+    assert curve.values.tolist() == [0.0, 0.5, 0.0]
+    assert curve.integral() == 1.0
+
+
 def test_histogram_validation() -> None:
     with pytest.raises(EmptySpectrum):
         histogram(make_spectrum([]))
-    with pytest.raises(InvalidArgs):
-        histogram(make_spectrum([0.0, 1.0]), bins=1)
+    for bins in (1, MAX_BINS + 1, 2**62):
+        with pytest.raises(InvalidArgs, match=f"got {bins}"):
+            histogram(make_spectrum([0.0, 1.0]), bins=bins)
 
 
 def test_kernel_density_single_eigenvalue() -> None:
@@ -310,43 +319,44 @@ def test_compare_curves_cli_does_not_import_scipy(tmp_path, run_cli) -> None:
     assert (tmp_path / "r.json").exists()
 
 
-def test_curve_csv_round_trip() -> None:
+def test_curve_csv_round_trip(tmp_path) -> None:
     spec = exact_spectrum(IsingParams.tfim(6, 0.8))
     curve = histogram(spec, bins=17)
-    buffer = io.StringIO()
-    write_curve_csv(curve, buffer, metadata={"model": "tfim", "lambda": 0.8, "N": 6})
-    text = buffer.getvalue()
+    path = tmp_path / "c.csv"
+    write_curve_csv(curve, str(path), metadata={"model": "tfim", "lambda": 0.8, "N": 6})
+    text = path.read_text()
     assert text.startswith("#")
-    restored, metadata = read_curve_csv(io.StringIO(text))
+    restored, metadata = read_curve_csv(str(path))
     np.testing.assert_array_equal(restored.grid, curve.grid)
     np.testing.assert_array_equal(restored.values, curve.values)
     assert restored.abscissa == curve.abscissa
     assert metadata["model"] == "tfim"
     assert metadata["lambda"] == "0.8"
     assert "# norm = unit\n" in text
+    path.write_text(text.replace("# norm = unit", "# norm = counts"))
     with pytest.raises(InvalidArgs, match="unit-normalized"):
-        read_curve_csv(io.StringIO(text.replace("# norm = unit", "# norm = counts")))
+        read_curve_csv(str(path))
 
 
 @pytest.mark.parametrize("count", [0, 1, 8, 11])
-def test_write_table_in_chunks_matches_one_string(monkeypatch, count) -> None:
+def test_write_table_in_chunks_matches_one_string(tmp_path, monkeypatch, count) -> None:
     """Rows written four at a time give the bytes of the whole table joined
     into one string, also when the last chunk is full or empty."""
     monkeypatch.setattr(table, "_WRITE_CHUNK", 4)
     rows = [(i, 0.1 * i) for i in range(count)]
-    buffer = io.StringIO()
-    table.write_table(buffer, {"n": 3}, "index,energy", rows)
+    path = tmp_path / "t.csv"
+    table.write_table(str(path), {"n": 3}, "index,energy", rows)
     lines = ["# n = 3", "index,energy", *(f"{i},{x!r}" for i, x in rows)]
-    assert buffer.getvalue() == "\n".join(lines) + "\n"
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
-def test_curve_rows_are_the_reprs_of_a_strided_grid() -> None:
+def test_curve_rows_are_the_reprs_of_a_strided_grid(tmp_path) -> None:
     """Rows come from the arrays' buffers, and DensityCurve keeps a strided
     grid as the view it was given: each element's repr must still be written."""
     base = np.linspace(-1.0, 2.0, 31) ** 3
     values = np.linspace(0.0, 1.0, 11) / 3.0
     curve = DensityCurve(base[::3], values)
-    buffer = io.StringIO()
-    write_curve_csv(curve, buffer)
-    rows = buffer.getvalue().splitlines()[-len(values):]
+    path = tmp_path / "c.csv"
+    write_curve_csv(curve, str(path))
+    rows = path.read_text().splitlines()[-len(values):]
     assert rows == [f"{x!r},{y!r}" for x, y in zip(base[::3].tolist(), values.tolist())]
