@@ -29,6 +29,11 @@ count length-1 and length-2 up-blocks over all compositions of n into k
 parts: fixing one of the k parts at length 1 (or 2) leaves a composition of
 n-1 (or n-2) into k-1 parts, so N1 = k comp(n-1, k-1) and
 N2 = k comp(n-2, k-1), with comp(0, 0) = 1 covering k = 1.
+
+Every walk over the cells of a ring (both censuses and the two small-lambda
+mixtures) starts from :func:`cells`, which refuses a ring whose
+2 + floor(N^2/4) cells and their exact counts would pass the package's one
+memory cap (``errors.DEFAULT_MAX_BYTES``) before it builds any.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import CapExceeded, InvalidArgs
+from .errors import CapExceeded, InvalidArgs, check_cap
 
 BRUTE_FORCE_MAX_SITES = 16
 
@@ -85,6 +90,10 @@ def _validate_cell(N: int, n: int, k: int) -> None:
 def cells(N: int) -> list[tuple[int, int]]:
     """All valid (n, k) cells of a length-N ring, polarized ones first."""
     _require_ring(N)
+    # A cell and its count f(n, k) take 96 + N // 10 bytes (tracemalloc: 198
+    # per cell at N = 1024, 298 at N = 2048).
+    count = 2 + N * N // 4
+    check_cap(f"walking the {count} cells at N = {N}", count * (96 + N // 10))
     out = [(0, 0), (N, 0)]
     for n in range(1, N):
         out.extend((n, k) for k in range(1, min(n, N - n) + 1))
@@ -273,9 +282,7 @@ def brute_force_census(N: int) -> BruteForceCensus:
     unit_totals = np.bincount(cell_id, weights=unit_of, minlength=n_cells)
     double_totals = np.bincount(cell_id, weights=double_of, minlength=n_cells)
 
-    class_totals = {"a": np.zeros(n_cells, dtype=np.int64)}
-    class_totals["b"] = np.zeros(n_cells, dtype=np.int64)
-    class_totals["c"] = np.zeros(n_cells, dtype=np.int64)
+    class_totals = {name: np.zeros(n_cells, dtype=np.int64) for name in "abc"}
     for p in range(N):
         pair = (1 << p) | (1 << ((p + 1) % N))
         flipped = b ^ pair
@@ -283,37 +290,22 @@ def brute_force_census(N: int) -> BruteForceCensus:
         dk = k_of[flipped] - k_of
         for name, want in (("a", (-2, -1)), ("b", (2, 1)), ("c", (0, 0))):
             sel = (dn == want[0]) & (dk == want[1])
-            class_totals[name] += np.bincount(
-                cell_id[sel], minlength=n_cells
-            ).astype(np.int64)
+            class_totals[name] += np.bincount(cell_id[sel], minlength=n_cells)
 
     def cell_of(idx: int) -> tuple[int, int]:
         return idx // (N + 2), idx % (N + 2)
 
-    f_table = {
-        cell_of(i): int(c) for i, c in enumerate(f_counts) if c
-    }
+    f_table = {cell_of(i): int(c) for i, c in enumerate(f_counts) if c}
     transitions: dict[tuple[int, int], dict[str, int]] = {}
     for i in range(n_cells):
         entry = {name: int(class_totals[name][i]) for name in ("a", "b", "c")}
         if any(entry.values()):
             transitions[cell_of(i)] = entry
-    unit_blocks = {
-        cell_of(i): int(round(t)) for i, t in enumerate(unit_totals) if t
-    }
-    double_blocks = {
-        cell_of(i): int(round(t)) for i, t in enumerate(double_totals) if t
-    }
+    unit_blocks = {cell_of(i): int(round(t)) for i, t in enumerate(unit_totals) if t}
+    double_blocks = {cell_of(i): int(round(t)) for i, t in enumerate(double_totals) if t}
     R_values = 2 * k_of - n_of
     offsets = np.bincount(R_values + N, minlength=2 * N + 1)
-    classes_alpha1 = {
-        int(R) - N: int(c) for R, c in enumerate(offsets) if c
-    }
+    classes_alpha1 = {int(R) - N: int(c) for R, c in enumerate(offsets) if c}
     return BruteForceCensus(
-        N=N,
-        f_table=f_table,
-        transitions=transitions,
-        unit_blocks=unit_blocks,
-        double_blocks=double_blocks,
-        classes_alpha1=classes_alpha1,
+        N, f_table, transitions, unit_blocks, double_blocks, classes_alpha1
     )

@@ -152,8 +152,7 @@ def _write_json(path: str, payload: dict) -> None:
     from .table import open_text
 
     with open_text(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+        handle.write(json.dumps(payload, indent=2) + "\n")
 
 
 # ----------------------------------------------------------------------------
@@ -326,11 +325,7 @@ def approx(kind, model, n, lam, alpha, grid, per_spin, rescaled, out) -> None:
         curve = curve.with_abscissa(target, params)
     write_curve_csv(curve, out, metadata)
     if mixture is not None:
-        sidecar = (
-            out[: -len(".csv")] + ".mixture.json"
-            if out.endswith(".csv")
-            else out + ".mixture.json"
-        )
+        sidecar = out.removesuffix(".csv") + ".mixture.json"
         _write_json(sidecar, {"params": metadata, **mixture.to_json_dict()})
 
 

@@ -1,6 +1,10 @@
-"""Exception hierarchy for the ising_density package."""
+"""Exception hierarchy for the ising_density package, and its one memory cap:
+work whose memory grows with its input (a dense or block solve, a walk over
+the cells of a ring, a binomial mixture) asks check_cap before it builds."""
 
 from __future__ import annotations
+
+DEFAULT_MAX_BYTES = 4 * 1024**3
 
 
 class IsingError(Exception):
@@ -9,6 +13,12 @@ class IsingError(Exception):
 
 class CapExceeded(IsingError):
     """A requested computation would exceed a configured size/memory cap."""
+
+
+def check_cap(what: str, needed: int) -> None:
+    """Refuse work that would hold more than DEFAULT_MAX_BYTES (read per call)."""
+    if needed > DEFAULT_MAX_BYTES:
+        raise CapExceeded(f"{what} needs {needed} bytes (> cap of {DEFAULT_MAX_BYTES})")
 
 
 class EigensolverFailure(IsingError):

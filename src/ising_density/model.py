@@ -28,9 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, EigensolverFailure, InvalidArgs, beyond_float_range
-
-DEFAULT_MAX_BYTES = 4 * 1024**3
+from .errors import DEFAULT_MAX_BYTES  # noqa: F401  (bench/checks.py reads it here)
+from .errors import EigensolverFailure, InvalidArgs, beyond_float_range, check_cap
 
 _MODELS = ("tfim", "two-field")
 _METHODS = ("dense", "fermion")
@@ -119,16 +118,11 @@ class MomentSet:
     m4: float | None = None
 
 
-def _check_cap(what: str, needed: int) -> None:
-    if needed > DEFAULT_MAX_BYTES:
-        raise CapExceeded(f"{what} needs {needed} bytes (> cap of {DEFAULT_MAX_BYTES})")
-
-
 def build_hamiltonian(params: IsingParams) -> np.ndarray:
     """Dense 2^N x 2^N Hamiltonian in the sigma^z basis (the small-N oracle)."""
     N = params.N
     dim = 1 << N
-    _check_cap(f"dense Hamiltonian for N={N}", dim * dim * 8)
+    check_cap(f"dense Hamiltonian for N={N}", dim * dim * 8)
     b = np.arange(dim)
     popcount = np.zeros(dim, dtype=np.int64)
     for n in range(N):
@@ -189,7 +183,7 @@ def exact_spectrum(params: IsingParams) -> ManyBodySpectrum:
     # held twice during its solve (eigvalsh works on a copy), and the k = 0
     # block holds every orbit, at least 2^N / N of them.
     needed = max(160 * dim, 16 * (dim // N) ** 2)
-    _check_cap(f"diagonalizing N={N} in momentum blocks", needed)
+    check_cap(f"diagonalizing N={N} in momentum blocks", needed)
     rep, shift, period = _orbits(N)
     reps = np.flatnonzero(rep == np.arange(dim))
     R = period[reps]
@@ -215,7 +209,7 @@ def exact_spectrum(params: IsingParams) -> ManyBodySpectrum:
     diagonal = -lam * (N - 2 * popcount)
     momenta = [(k * R) % N == 0 for k in range(N // 2 + 1)]
     largest = max(int(keep.sum()) for keep in momenta)
-    _check_cap(f"momentum block of dimension {largest}", 16 * largest**2)
+    check_cap(f"momentum block of dimension {largest}", 16 * largest**2)
     levels = []
     for k, keep in enumerate(momenta):
         n, pos = int(keep.sum()), np.cumsum(keep) - 1

@@ -13,7 +13,9 @@ mixture of Gaussians, one per cluster.  Four regimes are covered:
 * **Small coupling at unit longitudinal field** -- clusters labelled by the
   conserved combination ``R = 2k - n`` of aligned spins ``n`` and aligned
   blocks ``k``; centers carry a second-order correction and widths follow
-  from transition counting within a class.
+  from transition counting within a class.  Each class keeps six exact
+  integer sums over its cells, and every value is a formula of their
+  correctly rounded quotients, so no ring size is too large for floats.
 * **Small coupling at generic longitudinal field** -- one component per
   ``(n, k)`` cell, with the polarized cells appearing as delta spikes.
 
@@ -57,6 +59,7 @@ from .errors import (
     InvalidRegime,
     UnknownClass,
     beyond_float_range,
+    check_cap,
 )
 from .fermion import momentum_grid, one_particle_energy
 
@@ -64,7 +67,7 @@ XX_PROJECTION_MAX_SITES = 12
 
 _WEIGHT_TOL = 1e-12
 _WINDOW_SIGMAS = 40.0  # exp(-40^2 / 2) underflows to 0.0
-_MAX_CLASS_SITES = 1013  # the largest N with 2N 2^N < 2^1024
+_COMPONENT_BYTES = 1024  # tracemalloc: 924, 849 B at N = 4000, 8000 with sidecar
 
 
 # ----------------------------------------------------------------------------
@@ -200,7 +203,6 @@ class XXProjectionReport:
 # Overflowing couplings give non-finite moments, which are refused by name.
 @np.errstate(over="ignore", invalid="ignore")
 def _tfim_moments(N: int, lam: float, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    _require_ring(N)
     es = one_particle_energy(lam, momentum_grid(N, "even"))
     e1 = float(np.sum(es)) / (2 * N)
     e2 = float(np.sum(es * es)) / (4 * N)
@@ -209,6 +211,13 @@ def _tfim_moments(N: int, lam: float, n: np.ndarray) -> tuple[np.ndarray, np.nda
     if not (np.isfinite(mean).all() and np.isfinite(var).all()):
         raise beyond_float_range("a transverse-field cluster moment", lam, 0.0)
     return mean, np.where(var < 0.0, 0.0, var)
+
+
+def _occupations(N: int, step: int = 1) -> np.ndarray:
+    """n = 0, step, ..., N, once the ring and its N + 1 components pass the caps."""
+    _require_ring(N)
+    check_cap(f"a mixture of {N + 1} components at N = {N}", (N + 1) * _COMPONENT_BYTES)
+    return np.arange(0, N + 1, step)
 
 
 def tfim_mixture_components(N: int, lam: float) -> GaussianMixture:
@@ -227,7 +236,7 @@ def tfim_mixture_components(N: int, lam: float) -> GaussianMixture:
     """
     lam = float(lam)
     step = 1 if abs(lam) >= 1.0 else 2
-    n = np.arange(0, N + 1, step)
+    n = _occupations(N, step)
     mean, var = _tfim_moments(N, lam, n)
     scale = 2**N if step == 1 else 2 ** (N - 1)
     w = _exact_shares(map(partial(math.comb, N), n.tolist()), scale)
@@ -294,7 +303,6 @@ def _combined_field(lam: float, alpha: float) -> float:
 def _strong_field_moments(
     N: int, lam: float, alpha: float, n: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    _require_ring(N)
     root = _combined_field(lam, alpha)
     root_sq = root * root
     mean = root * (N - 2 * n) - (N - 4.0 * n * (N - n) / (N - 1)) * (
@@ -317,7 +325,7 @@ def strong_field_components(N: int, lam: float, alpha: float) -> GaussianMixture
     ``r (N - 2n)`` plus the first-order bond average at fixed alignment, its
     variance the transverse hopping contribution, which dominates the width.
     """
-    n = np.arange(N + 1)
+    n = _occupations(N)
     mean, var = _strong_field_moments(N, float(lam), float(alpha), n)
     w = _exact_shares(map(partial(math.comb, N), n.tolist()), 2**N)
     return GaussianMixture(np.column_stack((w, mean, var)))
@@ -329,53 +337,49 @@ def strong_field_components(N: int, lam: float, alpha: float) -> GaussianMixture
 
 
 class _ClassTable(NamedTuple):
-    """Lambda-independent sums over the cells of each class R = 2k - n."""
+    """Lambda-independent exact sums over the cells of each class R = 2k - n."""
 
     R: np.ndarray  # ascending labels, one row per class
     row: dict[int, int]
-    weights: np.ndarray  # N_R / 2^N
-    sums: np.ndarray  # float columns: N_R, S_R and the total of N_a + N_b + N_c
-    cell_rows: np.ndarray  # the class row of each interior cell, in cells(N) order
-    brackets: np.ndarray  # the shift bracket of each interior cell
+    sums: np.ndarray  # Python ints (dtype object): N_R, S_R, T_R, A_R, B_R, D_R
 
 
 @lru_cache(maxsize=64)
 def _unit_alpha_classes(N: int) -> _ClassTable:
-    """One walk over ``cells(N)`` collecting every sum a class needs.
+    """One walk over ``cells(N)`` keeping six exact int sums per class.
 
-    The sums are used as floats.  N_R <= 2^N; S_R = sum f k / N <= N_R / 2
-    since k <= N/2, and the centers take 4 N S_R <= 2N 2^N; the transition
-    total is at most N N_R (N flips per state).  So every float stays finite
-    while 2N 2^N < 2^1024, that is N <= 1013; larger rings are refused before
-    the walk.
+    Over the class's cells N_R = sum f, S_R = sum f k / N and
+    T_R = sum N_a + N_b + N_c; over its interior cells A_R = sum (2k - n) f,
+    B_R = sum (2k - m) f and D_R = sum [comp(n-1, k-1) comp(m, k)
+    - comp(n, k) comp(m-1, k-1)].  No sum is ever a float: every class
+    value is a formula of ratios of them, each one int/int division.
     """
     _require_ring(N)
-    if N > _MAX_CLASS_SITES:
-        raise CapExceeded(
-            f"unit-alpha class sums at N = {N} would leave float range "
-            f"(2N 2^N must stay below 2^1024, so N <= {_MAX_CLASS_SITES})"
-        )
-    sums: dict[int, list[int]] = defaultdict(lambda: [0, 0, 0])
-    cell_labels, brackets = [], []
+    sums: dict[int, list[int]] = defaultdict(lambda: [0] * 6)
     for n, k in cells(N):
         m, R = N - n, 2 * k - n
         f = _f_count(N, n, k)
-        moves = _count_Na(N, n, m, k) + _count_Nb(N, n, m, k) + _count_Nc(N, n, m, k)
-        sums[R][0] += f
-        sums[R][2] += moves
+        row = sums[R]
+        row[0] += f
+        row[2] += _count_Na(N, n, m, k) + _count_Nb(N, n, m, k) + _count_Nc(N, n, m, k)
         if k > 0:
-            sums[R][1] += f * k // N
-            cell_labels.append(R)
-            brackets.append(_shift_bracket(n, m, k, 1.0))
+            row[1] += f * k // N
+            row[3] += R * f
+            row[4] += (2 * k - m) * f
+            row[5] += _shift_d(n, m, k)
     labels = sorted(sums)
-    return _ClassTable(
-        R=np.array(labels),
-        row={R: i for i, R in enumerate(labels)},
-        weights=_exact_shares((sums[R][0] for R in labels), 2**N),
-        sums=np.array([sums[R] for R in labels], dtype=float),
-        cell_rows=np.searchsorted(labels, cell_labels),
-        brackets=np.array(brackets),
-    )
+    table = np.array([sums[R] for R in labels], dtype=object)
+    return _ClassTable(np.array(labels), {R: i for i, R in enumerate(labels)}, table)
+
+
+def _shift_d(n: int, m: int, k: int) -> int:
+    """The int d of an interior cell's second-order shift."""
+    return _comp(n - 1, k - 1) * _comp(m, k) - _comp(n, k) * _comp(m - 1, k - 1)
+
+
+def _ratio(numerators: np.ndarray, denominators: np.ndarray) -> np.ndarray:
+    """Quotients of Python ints, one true division each (the _exact_shares rule)."""
+    return np.asarray(numerators / denominators, dtype=float)
 
 
 def _class_value(values_of: Callable, N: int, lam: float, R: int) -> float:
@@ -387,10 +391,10 @@ def _class_value(values_of: Callable, N: int, lam: float, R: int) -> float:
 
 @np.errstate(over="ignore", invalid="ignore")  # as _tfim_moments
 def _class_centers(table: _ClassTable, N: int, lam: float) -> np.ndarray:
-    size, blocks, _ = table.sums.T
+    size, blocks = table.sums.T[:2]
     root = math.sqrt(1.0 + lam * lam)
     centers = 2.0 * table.R * root + (root - 1.0 / (1.0 + lam * lam)) * (
-        N - 4.0 * N * blocks / size
+        N - 4.0 * _ratio(N * blocks, size)
     )
     if not np.isfinite(centers).all():
         raise beyond_float_range("a class center E_R", lam, 1.0)
@@ -398,20 +402,18 @@ def _class_centers(table: _ClassTable, N: int, lam: float) -> np.ndarray:
 
 
 def _class_shifts(table: _ClassTable, N: int, lam: float) -> np.ndarray:
+    size, _, _, a, b, d = table.sums.T
     try:
-        pref = 2.0 * lam**2 * N / (1.0 + lam**2) ** 2  # small_lambda_deltaE's, alpha = 1
+        return _second_order_shift(N, 1.0, lam, a, b, d, size)
     except OverflowError:
         raise beyond_float_range("the class shift prefactor", lam, 1.0) from None
-    # bincount adds each class's cell shifts in cells(N) order.
-    total = np.bincount(table.cell_rows, pref * table.brackets, len(table.R))
-    return total / table.sums[:, 0]
 
 
 def _class_widths(table: _ClassTable, N: int, lam: float) -> np.ndarray:
     _require_transition_ring(N)
-    size, _, moves = table.sums.T
+    size, _, moves = table.sums.T[:3]
     try:
-        return np.sqrt(lam**4 / (1.0 + lam * lam) ** 2 * moves / size)
+        return np.sqrt(lam**4 / (1.0 + lam * lam) ** 2 * _ratio(moves, size))
     except OverflowError:
         raise beyond_float_range("a class width sigma_R", lam, 1.0) from None
 
@@ -432,15 +434,16 @@ def small_lambda_ER(N: int, lam: float, R: int) -> float:
     return _class_value(_class_centers, N, lam, R)
 
 
-def _shift_bracket(n: int, m: int, k: int, alpha: float) -> float:
-    c_nk = _comp(n, k)
-    c_mk = _comp(m, k)
-    bracket = ((2 * k - n) / (2.0 + alpha) + (2 * k - m) / (2.0 - alpha)) * (
-        c_nk * c_mk / k
-    )
-    return bracket + (2.0 * alpha / (4.0 - alpha**2)) * (
-        _comp(n - 1, k - 1) * c_mk - c_nk * _comp(m - 1, k - 1)
-    )
+def _second_order_shift(N: int, alpha: float, lam: float, a, b, d, states):
+    """2 alpha^2 lam^2 N / (alpha^2 + lam^2)^2 times the bracket
+    (a / (N (2 + alpha)) + b / (N (2 - alpha)) + 2 alpha d / (4 - alpha^2)) / states
+    of a cell's ints (2k - n) f, (2k - m) f and _shift_d, or of their sums over
+    the N_R states of a class; at alpha = p/q it is one correctly rounded quotient.
+    """
+    p, q = alpha.as_integer_ratio()
+    numerator = q * (a * (2 * q - p) + b * (2 * q + p) + 2 * p * N * d)
+    bracket = _ratio(numerator, N * (4 * q * q - p * p) * states)
+    return 2.0 * alpha**2 * lam**2 * N / (alpha**2 + lam**2) ** 2 * bracket
 
 
 def small_lambda_deltaE(
@@ -470,8 +473,9 @@ def small_lambda_deltaE(
         )
     if lam == 0.0:
         return 0.0
-    pref = 2.0 * alpha**2 * lam**2 * N / (alpha**2 + lam**2) ** 2
-    return pref * _shift_bracket(n, m, k, alpha)
+    f = _f_count(N, n, k)
+    a, b, d = (2 * k - n) * f, (2 * k - m) * f, _shift_d(n, m, k)
+    return float(_second_order_shift(N, alpha, lam, a, b, d, 1))
 
 
 def small_lambda_deltaE_R(N: int, lam: float, R: int) -> float:
@@ -505,7 +509,8 @@ def small_lambda_components(N: int, lam: float) -> GaussianMixture:
     table = _unit_alpha_classes(N)
     mu = _class_centers(table, N, lam) + _class_shifts(table, N, lam)
     sigma = _class_widths(table, N, lam)
-    return GaussianMixture(np.column_stack((table.weights, mu, sigma * sigma)))
+    weights = _exact_shares(table.sums[:, 0], 2**N)
+    return GaussianMixture(np.column_stack((weights, mu, sigma * sigma)))
 
 
 # ----------------------------------------------------------------------------

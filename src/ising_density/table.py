@@ -89,15 +89,19 @@ def read_table(path: str) -> Table:
                 metadata[key.strip()] = value.strip()
         else:
             raise InvalidArgs(f"{path} contains no table")
-        try:  # a row loadtxt refuses, or bytes that do not decode
+        width = header.count(",") + 1
+        rule = (
+            f"malformed CSV {path}: every row under the header {header!r} must "
+            f"hold its {width} comma-separated numbers"
+        )
+        try:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 rows = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
-        except ValueError as exc:
-            raise InvalidArgs(f"malformed CSV {path}: {exc}") from exc
-    width = header.count(",") + 1
+        except UnicodeError:
+            raise  # open_text names the file and the undecodable bytes
+        except ValueError as exc:  # a junk cell, a blank line or a ragged row
+            raise InvalidArgs(rule) from exc
     if len(rows) and rows.shape[1] != width:
-        raise InvalidArgs(
-            f"malformed CSV {path}: rows of {rows.shape[1]} fields under {header!r}"
-        )
+        raise InvalidArgs(rule)
     return Table(path, metadata, header, rows.T.reshape(width, -1).copy())

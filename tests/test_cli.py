@@ -300,20 +300,16 @@ class TestApprox:
         curve, _ = read_curve_csv(str(out))
         assert curve.integral() == pytest.approx(1.0, abs=1e-6)
 
-    def test_multi_int_alpha_beyond_float_range_fails_fast(self, runner, tmp_path):
-        out = tmp_path / "x.csv"
-        start = time.perf_counter()
-        result = runner.invoke(main, [
-            "approx", "--kind", "multi-int-alpha", "--n", "1100", "--lambda", "0.1",
-            "--alpha", "1", "--out", str(out),
-        ])
-        assert time.perf_counter() - start < 1.0
-        assert result.exit_code == 1
-        (line,) = result.stderr.splitlines()
-        error = json.loads(line)
-        assert error["code"] == "CapExceeded"
-        assert "N = 1100" in error["message"]
-        assert not out.exists()
+    @pytest.mark.parametrize("kind,couplings", [
+        ("multi-tfim", ["--lambda", "0.5"]),
+        ("multi-strong", ["--lambda", "0.5", "--alpha", "1"]),
+    ])
+    def test_binomial_mixtures_beyond_the_memory_cap_fail_fast(
+        self, runner, tmp_path, kind, couplings
+    ):
+        # numpy refused the 2^62 + 1 occupations with a traceback before.
+        args = ["approx", "--kind", kind, "--n", str(2**62), *couplings]
+        assert_fails_fast_at_the_cap(runner, tmp_path, args, str(2**62))
 
     @pytest.mark.parametrize("lam,alpha", [
         ("nan", "0"), ("inf", "0"), ("0.5", "nan"), ("0.5", "-inf"),
@@ -584,6 +580,32 @@ class TestCensus:
             assert energy_text == str(census.energy_of[R])
             total += count
         assert total == 64
+
+
+def assert_fails_fast_at_the_cap(runner, tmp_path, args, n):
+    start = time.perf_counter()
+    result = runner.invoke(main, [*args, "--out", str(tmp_path / "x.csv")])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    (line,) = result.stderr.splitlines()
+    error = json.loads(line)
+    assert error["code"] == "CapExceeded"
+    assert f"N = {n}" in error["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("n", ["100000", str(2**62)])
+@pytest.mark.parametrize("command", [
+    ["census"],
+    ["census", "--alpha", "1/2"],
+    ["approx", "--kind", "multi-generic", "--lambda", "0.1", "--alpha", "0.5"],
+    ["approx", "--kind", "multi-int-alpha", "--lambda", "0.1", "--alpha", "1"],
+], ids=["census", "census-alpha", "multi-generic", "multi-int-alpha"])
+def test_cell_walks_beyond_the_memory_cap_fail_fast(runner, tmp_path, command, n):
+    # cells(N) refuses the ring before it builds a cell; census --n 100000
+    # ran out of memory before, and multi-int-alpha had a float-range cap.
+    assert_fails_fast_at_the_cap(runner, tmp_path, [*command, "--n", n], n)
 
 
 class TestMoments:

@@ -8,6 +8,10 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -116,6 +120,28 @@ def test_tracer_names_resolve_on_cli_to_their_home_objects():
         assert getattr(cli, name) is getattr(home, name), name
     with pytest.raises(AttributeError):
         cli.no_such_name
+
+
+def test_traced_run_records_the_mixture_and_the_cell_walk(tmp_path):
+    # The tracer replaces names by attribute (``peaks.cells``, the names
+    # ``peaks`` imports for it, the CLI's names); one it no longer finds ends
+    # the traced run, and one it no longer calls through reads zero.
+    script = "import sys; sys.path.insert(0, sys.argv[1]); import tracer; " \
+        "tracer.run(sys.argv[2], sys.argv[3:])"
+    args = ["approx", "--kind", "multi-int-alpha", "--n", "12", "--lambda", "0.2",
+            "--alpha", "1", "--out", "x.csv"]
+    package_root = str(Path(ising_density.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(TRACER.parent), "trace.json", *args],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": package_root},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads((tmp_path / "trace.json").read_text())
+    assert "peaks.components" in [span[0] for span in trace["spans"]]
+    assert trace["counts"]["blocks.cells.calls"] >= 1
 
 
 def test_spectrum_calls_a_replaced_exact_spectrum(tmp_path, monkeypatch):

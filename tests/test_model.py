@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ising_density import model
+from ising_density import errors
 from ising_density.errors import CapExceeded, InvalidArgs
 from ising_density.fermion import enumerate_spectrum
 from ising_density.model import (
@@ -146,7 +146,7 @@ def test_tfim_lambda_negation_invariance(N: int, lam: float) -> None:
 def test_cap_exceeded(monkeypatch) -> None:
     with pytest.raises(CapExceeded):
         build_hamiltonian(IsingParams.tfim(15, 1.0))
-    monkeypatch.setattr(model, "DEFAULT_MAX_BYTES", 1000)  # read at call time
+    monkeypatch.setattr(errors, "DEFAULT_MAX_BYTES", 1000)  # read at call time
     with pytest.raises(CapExceeded):
         exact_spectrum(IsingParams.tfim(8, 1.0))
 
@@ -157,10 +157,10 @@ def test_cap_counts_the_solver_copy_of_the_largest_block(monkeypatch) -> None:
     # so the solve holds the block twice.
     params = IsingParams.tfim(12, 1.0)
     one_copy = 8 * 352**2
-    monkeypatch.setattr(model, "DEFAULT_MAX_BYTES", 3 * one_copy // 2)
+    monkeypatch.setattr(errors, "DEFAULT_MAX_BYTES", 3 * one_copy // 2)
     with pytest.raises(CapExceeded):
         exact_spectrum(params)
-    monkeypatch.setattr(model, "DEFAULT_MAX_BYTES", 2 * one_copy)
+    monkeypatch.setattr(errors, "DEFAULT_MAX_BYTES", 2 * one_copy)
     assert len(exact_spectrum(params).energies) == 2**12
 
 

@@ -67,7 +67,14 @@ from ising_density.peaks import (
     visibility_Nmax,
     xx_projection_check,
 )
-from ising_density.peaks import _tfim_moments, _unit_alpha_classes
+from ising_density.peaks import (
+    _class_centers,
+    _class_shifts,
+    _class_widths,
+    _ClassTable,
+    _tfim_moments,
+    _unit_alpha_classes,
+)
 
 # ----------------------------------------------------------------------------
 # oracles
@@ -79,6 +86,11 @@ def comb0(a: int, b: int) -> int:
     if b < 0 or a < 0 or b > a:
         return 0
     return math.comb(a, b)
+
+
+def comp(j: int, r: int) -> int:
+    """Compositions of j into r positive parts; comp(0, 0) = 1."""
+    return 1 if j == r == 0 else comb0(j - 1, r - 1)
 
 
 def rotated_hamiltonian(N: int, lam: float, alpha: float) -> np.ndarray:
@@ -810,8 +822,10 @@ class TestSmallLambdaMixture:
 
     @pytest.mark.parametrize("N", [8, 40])
     def test_class_sums_equal_a_scan_of_the_cells(self, N):
-        # Reference: the class's cells scanned one by one, summed in
-        # cells(N) order; the class table must reproduce it bit for bit.
+        # Reference: the class's cells scanned one by one.  E_R and sigma_R
+        # are their formulas at the scanned sums, bit for bit; the class shift
+        # is the mean of the cells' shifts, which are added here as floats,
+        # so it matches to their rounding (the exact check is below).
         lam = 0.2
         root = math.sqrt(1.0 + lam * lam)
         for R, N_R in degeneracy_census(N, 1).classes.items():
@@ -831,9 +845,9 @@ class TestSmallLambdaMixture:
                 for n, k in members
                 for count in (count_Na, count_Nb, count_Nc)
             )
-            sigma = math.sqrt(lam**4 / (1.0 + lam * lam) ** 2 * moves / N_R)
+            sigma = math.sqrt(lam**4 / (1.0 + lam * lam) ** 2 * (moves / N_R))
             assert small_lambda_ER(N, lam, R) == E_R
-            assert small_lambda_deltaE_R(N, lam, R) == shift / N_R
+            assert small_lambda_deltaE_R(N, lam, R) == pytest.approx(shift / N_R, rel=1e-14)
             assert small_lambda_sigmaR(N, lam, R) == sigma
 
     @pytest.mark.parametrize("N", range(2, 41))
@@ -845,15 +859,21 @@ class TestSmallLambdaMixture:
         sums = {}
         for n, k in cells(N):
             m, R = N - n, 2 * k - n
-            entry = sums.setdefault(R, [0, 0, 0])
-            entry[0] += f_count(N, n, k)
-            entry[1] += f_count(N, n, k) * k // N
+            f = f_count(N, n, k)
+            entry = sums.setdefault(R, [0] * 6)
+            entry[0] += f
             entry[2] += sum(count(N, n, m, k) for count in counts)
+            if k > 0:
+                entry[1] += f * k // N
+                entry[3] += (2 * k - n) * f
+                entry[4] += (2 * k - m) * f
+                entry[5] += (
+                    comp(n - 1, k - 1) * comp(m, k) - comp(n, k) * comp(m - 1, k - 1)
+                )
         labels = sorted(sums)
         table = _unit_alpha_classes(N)
         assert table.R.tolist() == labels
-        assert table.weights.tolist() == [sums[R][0] / 2**N for R in labels]
-        assert table.sums.tolist() == [[float(v) for v in sums[R]] for R in labels]
+        assert table.sums.tolist() == [sums[R] for R in labels]
 
     # From N = 3: on the two-site ring both bonds join the same pair, and the
     # scan counts each flip twice where the transition formulas count none.
@@ -867,13 +887,48 @@ class TestSmallLambdaMixture:
             sums[2 * k - n][2] += sum(moves.values())
         table = _unit_alpha_classes(N)
         assert table.R.tolist() == sorted(sums)
-        assert table.sums.tolist() == [[float(v) for v in sums[R]] for R in sorted(sums)]
+        assert [row[:3] for row in table.sums.tolist()] == [sums[R] for R in sorted(sums)]
 
-    def test_class_sums_beyond_float_range_are_refused(self):
-        # 2N 2^N < 2^1024 holds up to N = 1013; the check precedes the walk.
-        assert 2 * 1013 * 2**1013 < 2**1024 <= 2 * 1014 * 2**1014
-        with pytest.raises(CapExceeded, match="N = 1014"):
-            small_lambda_components(1014, 0.1)
+    @pytest.mark.parametrize("N", range(3, 41))
+    def test_class_values_against_exact_fractions(self, N):
+        # The table's exact sums (checked above) in rational arithmetic.  Each
+        # ratio -- N S_R / N_R, T_R / N_R and the shift bracket
+        # (A_R + 3 B_R + 2N D_R) / (3N N_R) -- must enter its formula
+        # correctly rounded, and each class shift must lie within 1e-15
+        # relative of its exact value (the per-cell float sums this replaced
+        # were 6.6e-15 off at N = 12, lambda = 0.2).
+        table = _unit_alpha_classes(N)
+        for lam in (0.05, 0.2, 0.5):
+            root, x = math.sqrt(1.0 + lam * lam), Fraction(lam)
+            exact_pref = 2 * x**2 * N / (1 + x**2) ** 2
+            for R, row in zip(table.R.tolist(), table.sums.tolist()):
+                size, blocks, moves, a, b, d = row
+                center = 2.0 * R * root + (root - 1.0 / (1.0 + lam * lam)) * (
+                    N - 4.0 * float(Fraction(N * blocks, size))
+                )
+                sigma = math.sqrt(lam**4 / (1.0 + lam * lam) ** 2 * float(Fraction(moves, size)))
+                bracket = Fraction(a + 3 * b + 2 * N * d, 3 * N * size)
+                shift = small_lambda_deltaE_R(N, lam, R)
+                assert small_lambda_ER(N, lam, R) == center
+                assert small_lambda_sigmaR(N, lam, R) == sigma
+                assert shift == 2.0 * lam**2 * N / (1.0 + lam**2) ** 2 * float(bracket)
+                assert shift == pytest.approx(float(exact_pref * bracket), rel=1e-15, abs=0.0)
+
+    def test_class_sums_beyond_float_range_give_finite_values(self):
+        # Sums near 2^1100 leave float range; each value takes them only
+        # through int/int ratios, so it stays finite and equals its formula at
+        # the correctly rounded ratios.
+        N, lam, big = 1100, 0.1, 2**1100
+        rows = [[3 * big, big, 2 * N * big, -N * big, N * big + 1, big // 7]]
+        rows.append([5 * big + 3, 2 * big, N * big, N * big, -3 * N * big, -big])
+        table = _ClassTable(np.array([-2, 0]), {-2: 0, 0: 1}, np.array(rows, dtype=object))
+        values = [f(table, N, lam) for f in (_class_centers, _class_shifts, _class_widths)]
+        assert all(np.isfinite(v).all() for v in values)
+        root = math.sqrt(1.0 + lam * lam)
+        for center, R, (size, blocks, *_) in zip(values[0], (-2, 0), rows):
+            assert center == 2.0 * R * root + (root - 1.0 / (1.0 + lam * lam)) * (
+                N - 4.0 * float(Fraction(N * blocks, size))
+            )
         with pytest.raises(InvalidArgs, match="N=1"):
             small_lambda_components(1, 0.1)
 

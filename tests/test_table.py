@@ -178,3 +178,22 @@ def test_whitespace_only_row_line_exits_1_naming_the_file(tmp_path, command):
     assert error["code"] == "InvalidArgs"
     assert str(source) in error["message"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("bad", ["   ", "4"], ids=["whitespace-line", "one-cell-row"])
+def test_row_of_the_wrong_width_states_the_row_rule(tmp_path, bad):
+    # The message is the package's own: numpy's pointed to a `usecols`
+    # argument the CLI does not have and counted rows from the header.
+    source = tmp_path / "w.csv"
+    source.write_text(SPECTRUM_HEAD + f"0,-2.0\n1,-1.0\n{bad}\n3,2.0\n")
+    out = tmp_path / "out.csv"
+    result = CliRunner().invoke(main, ["density", "--in", str(source), "--out", str(out)])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    (line,) = result.stderr.splitlines()
+    assert json.loads(line) == {
+        "code": "InvalidArgs",
+        "message": f"malformed CSV {source}: every row under the header "
+        "'index,energy' must hold its 2 comma-separated numbers",
+    }
+    assert not out.exists()
