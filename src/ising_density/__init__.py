@@ -64,7 +64,6 @@ _NAMES = {
         "count_Nb",
         "count_Nc",
         "degeneracy_census",
-        "f_count",
     ),
     "curves": (
         "ComparisonReport",

@@ -22,24 +22,27 @@ reproduces the bulk Gaussian
 
     rho_G(e) = sqrt(N / (2 pi (1 + lambda^2))) exp(-N e^2 / (2 (1 + lambda^2))).
 
+Every phi-integral is split at phi = 0 and phi = pi, where g has its
+|lambda| = 1 kink, and each panel takes a Gauss-Legendre rule whose order
+doubles, n = 16, 32, ..., until two successive results agree to
+1e-13 max(1, |value|) (``gauss_legendre``, behind ``integrate_phi``).
+
 The saddle is solved for a whole e-grid at once.  The phi-integrals are row
-sums over a (points x nodes) matrix, with one Gauss-Legendre rule of n nodes
-on each of [0, pi] and [pi, 2 pi].  Every point starts at beta = 0 and takes
-Newton steps, each capped at 2 max(1, |beta|), until its step is below
-1e-13 max(1, |beta|) or its residual is at the rounding floor of the node
-sum.  Integral tanh(beta g) g dphi increases with beta and is concave for
-beta > 0 (convex for beta < 0), so the steps from beta = 0 approach the
-root from one side without overshooting.  The rule order follows the doubling test of
-``quadrature.gauss_legendre``: n = 16, 32, ..., each order warm-started from
-the previous roots, until at every point the right-hand side at the previous
-root, the entropy and the curvature integral agree between the two orders to
-1e-13 max(1, |value|).  At _MAX_ORDER the solve raises NoConvergence; a
-coupling whose curvature integral 2 pi (1 + lambda^2) at beta = 0 is not
-finite is refused before any solve.  The right-hand side is compared rather
-than beta itself because beta is ill-conditioned near the band edge, where
-d beta / d e grows without bound.
-The grid is processed in chunks so that each (chunk x nodes) temporary stays
-near 8 MB.
+sums over a (points x nodes) matrix, with one rule of n nodes on each panel.
+Every point starts at beta = 0 and takes Newton steps, each capped at
+2 max(1, |beta|), until its step is below 1e-13 max(1, |beta|) or its
+residual is at the rounding floor of the node sum.  Integral tanh(beta g) g
+dphi increases with beta and is concave for beta > 0 (convex for beta < 0),
+so the steps from beta = 0 approach the root from one side without
+overshooting.  The rule order follows the same doubling test, each order
+warm-started from the previous roots, until at every point the right-hand
+side at the previous root, the entropy and the curvature integral agree
+between the two orders to 1e-13 max(1, |value|).  At _MAX_ORDER the solve
+raises NoConvergence; a coupling whose curvature integral 2 pi (1 + lambda^2)
+at beta = 0 is not finite is refused before any solve.  The right-hand side
+is compared rather than beta itself because beta is ill-conditioned near the
+band edge, where d beta / d e grows without bound.  The grid is processed in
+chunks so that each (chunk x nodes) temporary stays near 8 MB.
 
 Error bound: entropy and curvature agree with the next-lower rule to
 1e-13 max(1, |value|), and the equation is solved to 1e-13 max(1, |beta|) or
@@ -62,6 +65,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -72,11 +76,14 @@ from .errors import (
     OutOfSupport,
     beyond_float_range,
 )
+from .fermion import g_phi
 from .model import IsingParams, abscissa_scale
-from .quadrature import _MAX_ORDER, _MIN_ORDER, _leggauss, g_phi, integrate_phi
 
 _TWO_PI = 2.0 * math.pi
-_STEP_TOL = 1e-13
+_MIN_ORDER = 16
+_MAX_ORDER = 1 << 13
+# Agreement of two rule orders, and the Newton step size, relative to max(1, |x|).
+_TOL = 1e-13
 # A residual within 16 ulps of its target is at the rounding floor of the
 # node sum (measured at most 2.2 ulps at orders 64 and 128), so Newton stops
 # there.
@@ -109,6 +116,34 @@ def _sech2(x: np.ndarray) -> np.ndarray:
     ex *= 4.0
     ex /= denom
     return ex
+
+
+@lru_cache(maxsize=32)
+def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(order)
+
+
+def gauss_legendre(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
+    """Integrate f over [a, b], doubling the rule order until converged."""
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    order = _MIN_ORDER
+    x, w = _leggauss(order)
+    prev = half * float(np.dot(w, f(mid + half * x)))
+    if not np.isfinite(prev):
+        raise NoConvergence(f"quadrature integrand is not finite on [{a}, {b}]")
+    while order < _MAX_ORDER:
+        order *= 2
+        x, w = _leggauss(order)
+        cur = half * float(np.dot(w, f(mid + half * x)))
+        if abs(cur - prev) < _TOL * max(1.0, abs(cur)):
+            return cur
+        prev = cur
+    raise NoConvergence(f"quadrature did not converge on [{a}, {b}]")
+
+
+def integrate_phi(f: Callable[[np.ndarray], np.ndarray]) -> float:
+    """int_0^{2pi} f(phi) dphi, split at phi = 0 and phi = pi."""
+    return gauss_legendre(f, 0.0, np.pi) + gauss_legendre(f, np.pi, 2.0 * np.pi)
 
 
 @lru_cache(maxsize=None)
@@ -160,7 +195,7 @@ def _newton_chunk(
         cap = 2.0 * np.maximum(1.0, np.abs(b))
         step = np.clip(residual / slope, -cap, cap)
         beta[todo] = b - step
-        small = np.abs(step) <= _STEP_TOL * np.maximum(1.0, np.abs(beta[todo]))
+        small = np.abs(step) <= _TOL * np.maximum(1.0, np.abs(beta[todo]))
         at_floor = np.abs(residual) <= _RESIDUAL_FLOOR * np.abs(target[todo])
         todo = todo[~(small | at_floor)]
         if todo.size == 0:
@@ -176,7 +211,7 @@ def _newton_chunk(
 
 
 def _agree(new: np.ndarray, old: np.ndarray) -> bool:
-    return bool(np.all(np.abs(new - old) <= _STEP_TOL * np.maximum(1.0, np.abs(new))))
+    return bool(np.all(np.abs(new - old) <= _TOL * np.maximum(1.0, np.abs(new))))
 
 
 def _saddle_grid(e: np.ndarray, lam: float) -> tuple[np.ndarray, ...]:

@@ -44,7 +44,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import CapExceeded, InvalidArgs, check_cap
+from .errors import CapExceeded, InvalidArgs, check_cap, require_integer, require_ring
 
 BRUTE_FORCE_MAX_SITES = 16
 
@@ -58,13 +58,6 @@ def _comp(j: int, r: int) -> int:
     return comb(j - 1, r - 1)
 
 
-def _require_ring(N: int) -> None:
-    if not isinstance(N, (int, np.integer)) or isinstance(N, bool):
-        raise InvalidArgs(f"ring size must be an integer, got N={N!r}")
-    if N < 2:
-        raise InvalidArgs(f"ring size must be >= 2, got N={N}")
-
-
 def _require_transition_ring(N: int) -> None:
     # On the two-site ring both bonds join the same pair of spins, and the
     # transition counts N_a, N_b and N_c, which treat bonds as distinct,
@@ -73,23 +66,9 @@ def _require_transition_ring(N: int) -> None:
         raise InvalidArgs(f"transition counts need a ring of N >= 3, got N={N}")
 
 
-def _validate_cell(N: int, n: int, k: int) -> None:
-    _require_ring(N)
-    if not 0 <= n <= N:
-        raise InvalidArgs(f"up-spin count must satisfy 0 <= n <= N, got n={n}")
-    if k == 0:
-        if n not in (0, N):
-            raise InvalidArgs(f"k=0 is reserved for the polarized strings, got n={n}")
-    elif not 1 <= k <= min(n, N - n):
-        raise InvalidArgs(
-            f"block count must satisfy 1 <= k <= min(n, N-n) = "
-            f"{min(n, N - n)}, got k={k}"
-        )
-
-
 def cells(N: int) -> list[tuple[int, int]]:
     """All valid (n, k) cells of a length-N ring, polarized ones first."""
-    _require_ring(N)
+    require_ring(N)
     # A cell and its count f(n, k) take 96 + N // 10 bytes (tracemalloc: 198
     # per cell at N = 1024, 298 at N = 2048).
     count = 2 + N * N // 4
@@ -100,14 +79,8 @@ def cells(N: int) -> list[tuple[int, int]]:
     return out
 
 
-def f_count(N: int, n: int, k: int) -> int:
-    """Number of cyclic strings in cell (n, k)."""
-    _validate_cell(N, n, k)
-    return _f_count(N, n, k)
-
-
 def _f_count(N: int, n: int, k: int) -> int:
-    """f_count of a cell already known to be valid."""
+    """Number f(n, k) of cyclic strings in a valid cell (n, k)."""
     if k == 0:
         return 1
     numerator = N * _comp(n, k) * _comp(N - n, k)
@@ -130,12 +103,23 @@ def count_N2(n: int, k: int) -> int:
 
 
 def _require_partition(N: int, n: int, m: int, k: int) -> None:
-    for name, value in (("n", n), ("m", m), ("k", k)):
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-            raise InvalidArgs(f"{name} must be an integer, got {value!r}")
+    """Refuse (n, m, k) unless m = N - n and (n, k) is a cell of the ring N."""
+    require_integer("up-spin count", "n", n)
+    require_integer("down-spin count", "m", m)
+    require_integer("block count", "k", k)
     if m != N - n:
         raise InvalidArgs(f"m must equal N - n, got N={N}, n={n}, m={m}")
-    _validate_cell(N, n, k)
+    require_ring(N)
+    if not 0 <= n <= N:
+        raise InvalidArgs(f"up-spin count must satisfy 0 <= n <= N, got n={n}")
+    if k == 0:
+        if n not in (0, N):
+            raise InvalidArgs(f"k=0 is reserved for the polarized strings, got n={n}")
+    elif not 1 <= k <= min(n, N - n):
+        raise InvalidArgs(
+            f"block count must satisfy 1 <= k <= min(n, N-n) = "
+            f"{min(n, N - n)}, got k={k}"
+        )
 
 
 def count_Na(N: int, n: int, m: int, k: int) -> int:
@@ -187,7 +171,7 @@ class BlockCensus:
 
 
 def block_census(N: int) -> BlockCensus:
-    table = {(n, k): f_count(N, n, k) for n, k in cells(N)[2:]}
+    table = {(n, k): _f_count(N, n, k) for n, k in cells(N)[2:]}
     return BlockCensus(N=N, table=table, polarized={(0, 0): 1, (N, 0): 1})
 
 
@@ -228,7 +212,7 @@ def degeneracy_census(N: int, alpha: object) -> DegeneracyCensus:
     classes: dict[int, int] = {}
     for n, k in cells(N):
         R = 2 * q * k - p * n
-        classes[R] = classes.get(R, 0) + f_count(N, n, k)
+        classes[R] = classes.get(R, 0) + _f_count(N, n, k)
     assert sum(classes.values()) == 2**N
     ordered = dict(sorted(classes.items()))
     energy_of = {R: N * (frac - 1) + Fraction(2 * R, q) for R in ordered}
@@ -253,11 +237,11 @@ def brute_force_census(N: int) -> BruteForceCensus:
     Independent of the closed-form counts: block structure is read off each
     string via bit operations, transitions by flipping each adjacent pair.
     """
+    require_ring(N)
     if N > BRUTE_FORCE_MAX_SITES:
         raise CapExceeded(
             f"brute-force census scans 2^N strings; N={N} > {BRUTE_FORCE_MAX_SITES}"
         )
-    _require_ring(N)
     size = 1 << N
     mask = size - 1
     b = np.arange(size, dtype=np.int64)

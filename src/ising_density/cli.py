@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Callable
 import click
 
 from . import _HOMES, _NAMES
-from .errors import EmptySpectrum, InvalidArgs, IsingError
+from .errors import MAX_GRID_POINTS, EmptySpectrum, InvalidArgs, IsingError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -65,7 +65,6 @@ def __getattr__(name: str):
 
 _MULTI_KINDS = ("multi-tfim", "multi-strong", "multi-int-alpha", "multi-generic")
 _ANALYTIC_KINDS = ("gaussian", "saddle", "tail")
-_DEFAULT_GRID_MAX_POINTS = 200_001
 
 
 def _compute_errors(fn: Callable) -> Callable:
@@ -102,23 +101,11 @@ def _parse_grid(ctx, param, value):
         raise click.BadParameter("grid needs HI > LO")
     if points < 2:
         raise click.BadParameter("grid needs at least 2 points")
-    if points > _DEFAULT_GRID_MAX_POINTS:
-        raise click.BadParameter(
-            f"grid needs at most {_DEFAULT_GRID_MAX_POINTS} points"
-        )
+    if points > MAX_GRID_POINTS:
+        raise click.BadParameter(f"grid needs at most {MAX_GRID_POINTS} points")
     import numpy as np
 
     return np.linspace(lo, hi, points)
-
-
-def _build_params(model: str | None, n: int, lam: float, alpha: float) -> IsingParams:
-    if model is None:
-        model = "tfim" if alpha == 0.0 else "two-field"
-    if model == "tfim":
-        if alpha != 0.0:
-            raise InvalidArgs("--model tfim is incompatible with --alpha != 0")
-        return IsingParams.tfim(n, lam)
-    return IsingParams.two_field(n, lam, alpha)
 
 
 def _params_metadata(params: IsingParams) -> dict:
@@ -183,7 +170,7 @@ def spectrum(model, n, lam, alpha, method, out) -> None:
     from .table import SPECTRUM_HEADER, write_table
 
     _load("model")
-    params = _build_params(model, n, lam, alpha)
+    params = IsingParams(n, lam, alpha, model)
     if method == "fermion":
         if params.model != "tfim":
             raise InvalidArgs(
@@ -252,7 +239,7 @@ def _default_energy_grid(mixture: GaussianMixture) -> np.ndarray:
     hi = float(mixture.mu.max()) + 8.0 * widest + 1.0
     span = hi - lo
     step = min(narrowest / 4.0, span / 2000.0)
-    points = min(int(math.ceil(span / step)) + 1, _DEFAULT_GRID_MAX_POINTS)
+    points = min(int(math.ceil(span / step)) + 1, MAX_GRID_POINTS)
     return np.linspace(lo, hi, points)
 
 
@@ -299,7 +286,8 @@ def approx(kind, model, n, lam, alpha, grid, per_spin, rescaled, out) -> None:
         raise click.UsageError("--per-spin and --rescaled are mutually exclusive")
     target = "e" if per_spin else ("eps" if rescaled else "E")
     _load("model", "curves")
-    params = _build_params(model, n, lam, alpha)
+    model = model or ("tfim" if alpha == 0.0 else "two-field")
+    params = IsingParams(n, lam, alpha, model)
     metadata = _params_metadata(params)
     metadata["kind"] = kind
     if grid is not None:
@@ -413,7 +401,7 @@ def moments(model, n, lam, alpha, max_order, out) -> None:
     from .table import write_table
 
     _load("model")
-    params = _build_params(model, n, lam, alpha)
+    params = IsingParams(n, lam, alpha, model)
     analytic = analytic_moments(params)
     numeric = numeric_moments(exact_spectrum(params), max_order=max_order)
     rows = [

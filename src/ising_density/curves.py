@@ -17,13 +17,11 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DisjointSupports, EmptySpectrum, InvalidArgs
+from .errors import MAX_GRID_POINTS, DisjointSupports, EmptySpectrum, InvalidArgs
 from .model import ABSCISSAE, IsingParams, ManyBodySpectrum, abscissa_scale
 from .table import CURVE_HEADER, Table, read_table, write_table
 
 MAX_DEFAULT_BINS = 400
-# The most bins a histogram may have: as many as the points of a --grid.
-MAX_BINS = 200_001
 PEAK_PROMINENCE_FRACTION = 0.01
 # KDE lattice step in bandwidths: (step / h)^2 / 8 <= 1e-6.
 KDE_LATTICE_STEP = math.sqrt(8.0) * 1e-3
@@ -95,8 +93,8 @@ def histogram(spectrum: ManyBodySpectrum, bins: int | None = None) -> DensityCur
         raise EmptySpectrum("cannot histogram an empty spectrum")
     if bins is None:
         bins = min(MAX_DEFAULT_BINS, max(2, math.ceil(math.sqrt(len(energies)))))
-    if not 2 <= bins <= MAX_BINS:
-        raise InvalidArgs(f"need 2 to {MAX_BINS} bins, got {bins}")
+    if not 2 <= bins <= MAX_GRID_POINTS:
+        raise InvalidArgs(f"need 2 to {MAX_GRID_POINTS} bins, got {bins}")
     lo, hi = float(energies.min()), float(energies.max())
     if hi <= lo:
         # One bin of width p; from |lo| >= 2^53 on, lo +- 1 would round to lo.

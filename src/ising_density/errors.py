@@ -1,10 +1,16 @@
-"""Exception hierarchy for the ising_density package, and its one memory cap:
-work whose memory grows with its input (a dense or block solve, a walk over
-the cells of a ring, a binomial mixture) asks check_cap before it builds."""
+"""Exception hierarchy for the ising_density package, and the one home of
+each rule that several modules check, with one message each: the memory cap
+(check_cap, asked before work whose memory grows with its input builds), the
+grid-point cap, and the integer, ring-size and finite-coupling rules.
+``--help`` loads this module, so it imports no numpy."""
 
 from __future__ import annotations
 
+import math
+
 DEFAULT_MAX_BYTES = 4 * 1024**3
+# The most points of a grid (--grid or a mixture's default) or bins of a histogram.
+MAX_GRID_POINTS = 200_001
 
 
 class IsingError(Exception):
@@ -31,6 +37,27 @@ class OddN(IsingError):
 
 class InvalidArgs(IsingError):
     """Arguments violate an operation's preconditions."""
+
+
+def require_integer(what: str, name: str, value: object) -> None:
+    """Refuse a ``value`` that is not an int or numpy integer (bool is not)."""
+    from numbers import Integral  # numpy loads it; ``--help`` loads neither
+
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise InvalidArgs(f"{what} must be an integer, got {name}={value!r}")
+
+
+def require_ring(N: object) -> None:
+    """Refuse a ring size that is not an integer >= 2."""
+    require_integer("ring size", "N", N)
+    if N < 2:
+        raise InvalidArgs(f"ring size must be >= 2, got N={N}")
+
+
+def require_finite_couplings(lam: float, alpha: float) -> None:
+    """Refuse a non-finite lambda or alpha."""
+    if not (math.isfinite(lam) and math.isfinite(alpha)):
+        raise InvalidArgs(f"lambda and alpha must be finite, got {lam!r} and {alpha!r}")
 
 
 def beyond_float_range(what: str, lam: float, alpha: float) -> InvalidArgs:

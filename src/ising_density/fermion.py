@@ -3,7 +3,7 @@
 A Jordan-Wigner transformation maps the ring onto free fermions with
 one-particle energies
 
-    e(phi) = 2 sqrt(1 - 2 lambda cos phi + lambda^2) >= 0,
+    e(phi) = 2 g(phi),   g(phi) = sqrt(1 - 2 lambda cos phi + lambda^2) >= 0,
 
 sampled on two momentum grids: the Even (antiperiodic) sector uses
 phi_j = pi (2j + 1) / N and the Odd (periodic) sector uses phi_j = 2 pi j / N,
@@ -18,7 +18,9 @@ occupation parity:
 
 Either way exactly 2^N energies survive.  Both grids are invariant under
 phi -> pi - phi, which realizes the lambda -> -lambda spectral invariance
-exactly, so negative lambda is enumerated via |lambda|.
+exactly, so negative lambda is enumerated via |lambda|.  The function g
+is also the integrand kernel of every phi-integral in ``analytic``, which
+imports it from here.
 """
 
 from __future__ import annotations
@@ -29,9 +31,14 @@ import numpy as np
 
 from .errors import CapExceeded, InvalidArgs, OddN, beyond_float_range
 from .model import IsingParams, ManyBodySpectrum
-from .quadrature import g_phi
 
 DEFAULT_MAX_SITES = 22
+
+
+def g_phi(phi: np.ndarray | float, lam: float) -> np.ndarray | float:
+    """g(phi) = sqrt(1 - 2 lambda cos phi + lambda^2), clamped at the kink."""
+    val = 1.0 - 2.0 * lam * np.cos(phi) + lam * lam
+    return np.sqrt(np.maximum(val, 0.0))
 
 
 def one_particle_energy(lam: float, phi: float | np.ndarray) -> float | np.ndarray:
@@ -70,14 +77,12 @@ def _sector_levels(energies: np.ndarray, keep_even: bool) -> np.ndarray:
 
 def enumerate_spectrum(N: int, lam: float) -> ManyBodySpectrum:
     """Exact sorted 2^N spectrum from the free-fermion sector rules."""
-    if N % 2 != 0:
-        raise OddN(f"free-fermion enumeration requires even N, got {N}")
+    params = IsingParams.tfim(N, lam)
     if N > DEFAULT_MAX_SITES:
         raise CapExceeded(
             f"enumerate_spectrum materializes 2^N energies; N={N} exceeds "
             f"cap {DEFAULT_MAX_SITES}"
         )
-    params = IsingParams.tfim(N, lam)
     size = abs(params.lam)
     even = one_particle_energy(size, momentum_grid(N, "even"))
     odd = one_particle_energy(size, momentum_grid(N, "odd"))

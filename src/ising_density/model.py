@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import DEFAULT_MAX_BYTES  # noqa: F401  (bench/checks.py reads it here)
 from .errors import EigensolverFailure, InvalidArgs, beyond_float_range, check_cap
+from .errors import require_finite_couplings, require_ring
 
 _MODELS = ("tfim", "two-field")
 _METHODS = ("dense", "fermion")
@@ -46,15 +47,11 @@ class IsingParams:
     model: str = "tfim"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.N, (int, np.integer)) or self.N < 2:
-            raise InvalidArgs(f"N must be an integer >= 2, got {self.N!r}")
+        require_ring(self.N)
         object.__setattr__(self, "N", int(self.N))
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "alpha", float(self.alpha))
-        if not (math.isfinite(self.lam) and math.isfinite(self.alpha)):
-            raise InvalidArgs(
-                f"lambda and alpha must be finite, got {self.lam!r} and {self.alpha!r}"
-            )
+        require_finite_couplings(self.lam, self.alpha)
         if self.model not in _MODELS:
             raise InvalidArgs(f"model must be one of {_MODELS}, got {self.model!r}")
         if self.model == "tfim" and self.alpha != 0.0:

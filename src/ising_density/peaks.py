@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -42,14 +42,12 @@ from .blocks import (
     _count_Nc,
     _f_count,
     _require_partition,
-    _require_ring,
     _require_transition_ring,
     cells,
     count_Na,  # noqa: F401  (bench/tracer.py wraps it here)
     count_Nb,  # noqa: F401  (bench/tracer.py wraps it here)
     count_Nc,  # noqa: F401  (bench/tracer.py wraps it here)
     degeneracy_census,  # noqa: F401  (bench/tracer.py wraps it here)
-    f_count,
 )
 from .curves import DensityCurve, _require_grid
 from .errors import (
@@ -60,6 +58,9 @@ from .errors import (
     UnknownClass,
     beyond_float_range,
     check_cap,
+    require_finite_couplings,
+    require_integer,
+    require_ring,
 )
 from .fermion import momentum_grid, one_particle_energy
 
@@ -87,12 +88,6 @@ def _require_all(values: np.ndarray, ok: np.ndarray, rule: str) -> None:
     bad = np.flatnonzero(~ok)
     if bad.size:
         raise InvalidArgs(f"component {rule}, got {float(values[bad[0]])!r}")
-
-
-def _exact_shares(counts: Iterable[int], total: int) -> np.ndarray:
-    """Each ``count / total`` divided as Python ints, so it is correctly rounded
-    even where the counts and the total lie beyond float range."""
-    return np.array([count / total for count in counts], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -215,7 +210,7 @@ def _tfim_moments(N: int, lam: float, n: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def _occupations(N: int, step: int = 1) -> np.ndarray:
     """n = 0, step, ..., N, once the ring and its N + 1 components pass the caps."""
-    _require_ring(N)
+    require_ring(N)
     check_cap(f"a mixture of {N + 1} components at N = {N}", (N + 1) * _COMPONENT_BYTES)
     return np.arange(0, N + 1, step)
 
@@ -239,7 +234,7 @@ def tfim_mixture_components(N: int, lam: float) -> GaussianMixture:
     n = _occupations(N, step)
     mean, var = _tfim_moments(N, lam, n)
     scale = 2**N if step == 1 else 2 ** (N - 1)
-    w = _exact_shares(map(partial(math.comb, N), n.tolist()), scale)
+    w = _ratio([math.comb(N, j) for j in n.tolist()], scale)
     return GaussianMixture(np.column_stack((w, mean, var)))
 
 
@@ -268,8 +263,7 @@ def visibility_Nmax(lam: float, alpha: float, regime: str) -> Visibility:
     whose N_max is not a finite float are rejected.
     """
     lam, alpha = float(lam), float(alpha)
-    if not (math.isfinite(lam) and math.isfinite(alpha)):
-        raise InvalidArgs(f"lambda and alpha must be finite, got {lam!r} and {alpha!r}")
+    require_finite_couplings(lam, alpha)
     formula = _VISIBILITY.get(regime)
     if formula is None:
         raise InvalidRegime(
@@ -295,7 +289,7 @@ def visibility_Nmax(lam: float, alpha: float, regime: str) -> Visibility:
 def _combined_field(lam: float, alpha: float) -> float:
     root_sq = lam * lam + alpha * alpha
     if root_sq == 0.0:
-        raise InvalidArgs("strong-field formulas require lambda^2 + alpha^2 > 0")
+        raise InvalidArgs("the combined field needs lambda^2 + alpha^2 > 0")
     return math.sqrt(root_sq)
 
 
@@ -327,7 +321,7 @@ def strong_field_components(N: int, lam: float, alpha: float) -> GaussianMixture
     """
     n = _occupations(N)
     mean, var = _strong_field_moments(N, float(lam), float(alpha), n)
-    w = _exact_shares(map(partial(math.comb, N), n.tolist()), 2**N)
+    w = _ratio([math.comb(N, j) for j in n.tolist()], 2**N)
     return GaussianMixture(np.column_stack((w, mean, var)))
 
 
@@ -354,7 +348,6 @@ def _unit_alpha_classes(N: int) -> _ClassTable:
     - comp(n, k) comp(m-1, k-1)].  No sum is ever a float: every class
     value is a formula of ratios of them, each one int/int division.
     """
-    _require_ring(N)
     sums: dict[int, list[int]] = defaultdict(lambda: [0] * 6)
     for n, k in cells(N):
         m, R = N - n, 2 * k - n
@@ -377,9 +370,10 @@ def _shift_d(n: int, m: int, k: int) -> int:
     return _comp(n - 1, k - 1) * _comp(m, k) - _comp(n, k) * _comp(m - 1, k - 1)
 
 
-def _ratio(numerators: np.ndarray, denominators: np.ndarray) -> np.ndarray:
-    """Quotients of Python ints, one true division each (the _exact_shares rule)."""
-    return np.asarray(numerators / denominators, dtype=float)
+def _ratio(numerators, denominators) -> np.ndarray:
+    """Quotients of Python ints, one true division each, so each is correctly
+    rounded even where the ints lie beyond float range."""
+    return np.asarray(np.asarray(numerators, dtype=object) / denominators, dtype=float)
 
 
 def _class_value(values_of: Callable, N: int, lam: float, R: int) -> float:
@@ -392,9 +386,12 @@ def _class_value(values_of: Callable, N: int, lam: float, R: int) -> float:
 @np.errstate(over="ignore", invalid="ignore")  # as _tfim_moments
 def _class_centers(table: _ClassTable, N: int, lam: float) -> np.ndarray:
     size, blocks = table.sums.T[:2]
-    root = math.sqrt(1.0 + lam * lam)
-    centers = 2.0 * table.R * root + (root - 1.0 / (1.0 + lam * lam)) * (
-        N - 4.0 * _ratio(N * blocks, size)
+    lam2 = lam * lam
+    # sqrt(1 + lam^2) - 1 / (1 + lam^2) and N - 4 N S_R / N_R without
+    # subtracting near-equal floats: the R = 0 center is their product alone.
+    prefactor = math.expm1(math.log1p(lam2) / 2.0) + lam2 / (1.0 + lam2)
+    centers = 2.0 * table.R * math.sqrt(1.0 + lam2) + prefactor * _ratio(
+        N * size - 4 * N * blocks, size
     )
     if not np.isfinite(centers).all():
         raise beyond_float_range("a class center E_R", lam, 1.0)
@@ -509,7 +506,7 @@ def small_lambda_components(N: int, lam: float) -> GaussianMixture:
     table = _unit_alpha_classes(N)
     mu = _class_centers(table, N, lam) + _class_shifts(table, N, lam)
     sigma = _class_widths(table, N, lam)
-    weights = _exact_shares(table.sums[:, 0], 2**N)
+    weights = _ratio(table.sums[:, 0], 2**N)
     return GaussianMixture(np.column_stack((weights, mu, sigma * sigma)))
 
 
@@ -528,20 +525,19 @@ def generic_alpha_components(N: int, lam: float, alpha: float) -> GaussianMixtur
     ``2 lam^4/(alpha^2+lam^2)^2 k^2 (N - 2k) / (n (N - n))``.
     """
     lam, alpha = float(lam), float(alpha)
-    if lam * lam + alpha * alpha == 0.0:
-        raise InvalidArgs("cell widths require lambda^2 + alpha^2 > 0")
+    _combined_field(lam, alpha)  # refuses lambda = alpha = 0
     try:
         coupling = lam**4 / (alpha**2 + lam**2) ** 2
     except (OverflowError, ZeroDivisionError):  # a power over- or underflowed
         raise beyond_float_range("the cell width coupling", lam, alpha) from None
     pairs = cells(N)  # the two polarized cells first: spikes
     n, k = np.array(pairs).T
-    counts = [f_count(N, a, b) for a, b in pairs]
+    counts = [_f_count(N, a, b) for a, b in pairs]
     mu = alpha * (N - 2 * n) + 4 * k - N
     var = np.zeros(len(pairs))
     n, k = n[2:], k[2:]  # interior cells only
     var[2:] = 2.0 * coupling * k * k * (N - 2 * k) / (n * (N - n))
-    return GaussianMixture(np.column_stack((_exact_shares(counts, 2**N), mu, var)))
+    return GaussianMixture(np.column_stack((_ratio(counts, 2**N), mu, var)))
 
 
 # ----------------------------------------------------------------------------
@@ -550,8 +546,7 @@ def generic_alpha_components(N: int, lam: float, alpha: float) -> GaussianMixtur
 
 
 def _require_occupation(N: int, n: int) -> None:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise InvalidArgs(f"occupation n must be an integer, got {n!r}")
+    require_integer("occupation", "n", n)
     if n < 0 or n > N:
         raise InvalidArgs(f"occupation n must satisfy 0 <= n <= N, got n={n}, N={N}")
 
@@ -566,7 +561,7 @@ def xx_projection_check(N: int, lam: float, alpha: float, n: int) -> XXProjectio
     moments (computed from traces of the explicit matrix) next to the closed
     forms used by :func:`strong_field_components`.
     """
-    _require_ring(N)
+    require_ring(N)
     if N > XX_PROJECTION_MAX_SITES:
         raise CapExceeded(
             f"xx projection check caps at N = {XX_PROJECTION_MAX_SITES}, got {N}"

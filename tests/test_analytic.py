@@ -25,7 +25,6 @@ from ising_density.analytic import (
     saddle_density_extensive,
     tail_density_critical,
 )
-from ising_density import quadrature
 from ising_density.errors import (
     AtOrBelowGroundState,
     InvalidArgs,
@@ -186,6 +185,7 @@ def test_saddle_grid_is_solved_in_chunks() -> None:
 
 def test_saddle_grid_gives_up_at_max_order(monkeypatch) -> None:
     """Near the critical band edge the rule must reach order 128."""
+    e_gs = ground_state_energy_per_spin(1.0)  # cached before the rule is patched
     monkeypatch.setattr(analytic, "_MAX_ORDER", 32)
     orders: list[int] = []
 
@@ -194,7 +194,6 @@ def test_saddle_grid_gives_up_at_max_order(monkeypatch) -> None:
         return np.polynomial.legendre.leggauss(order)
 
     monkeypatch.setattr(analytic, "_leggauss", recording_leggauss)
-    e_gs = ground_state_energy_per_spin(1.0)
     with pytest.raises(NoConvergence):
         saddle_density(np.array([0.0, 0.999 * e_gs]), IsingParams.tfim(16, 1.0))
     assert orders == [16, 32]
@@ -343,14 +342,14 @@ def test_tail_density_critical_beyond_float_range_is_refused() -> None:
 
 def test_quadrature_gives_up_at_max_order(monkeypatch) -> None:
     """A finite integrand that never settles stops at _MAX_ORDER, not beyond."""
-    monkeypatch.setattr(quadrature, "_MAX_ORDER", 64)
+    monkeypatch.setattr(analytic, "_MAX_ORDER", 64)
     orders: list[int] = []
 
     def recording_leggauss(order: int):
         orders.append(order)
         return np.polynomial.legendre.leggauss(order)
 
-    monkeypatch.setattr(quadrature, "_leggauss", recording_leggauss)
+    monkeypatch.setattr(analytic, "_leggauss", recording_leggauss)
     with pytest.raises(NoConvergence):
-        quadrature.gauss_legendre(lambda x: np.full_like(x, len(x)), 0.0, 1.0)
+        analytic.gauss_legendre(lambda x: np.full_like(x, len(x)), 0.0, 1.0)
     assert orders == [16, 32, 64]

@@ -17,6 +17,7 @@ import pytest
 
 from ising_density.blocks import (
     BlockCensus,
+    _f_count,
     block_census,
     brute_force_census,
     count_N1,
@@ -25,7 +26,6 @@ from ising_density.blocks import (
     count_Nb,
     count_Nc,
     degeneracy_census,
-    f_count,
 )
 from ising_density.errors import CapExceeded, InvalidArgs
 
@@ -102,22 +102,17 @@ def scan_classes(N: int, alpha: Fraction) -> Counter:
 
 
 def test_f_count_examples() -> None:
-    assert f_count(4, 2, 1) == 4
-    assert f_count(4, 2, 2) == 2
-    assert sum(f_count(6, 3, k) for k in (1, 2, 3)) == 20
-    assert f_count(9, 0, 0) == 1
-    assert f_count(9, 9, 0) == 1
+    assert _f_count(4, 2, 1) == 4
+    assert _f_count(4, 2, 2) == 2
+    assert sum(_f_count(6, 3, k) for k in (1, 2, 3)) == 20
+    assert _f_count(9, 0, 0) == 1
+    assert _f_count(9, 9, 0) == 1
 
 
-def test_f_count_validation() -> None:
-    with pytest.raises(InvalidArgs):
-        f_count(6, 3, 0)
-    with pytest.raises(InvalidArgs):
-        f_count(6, 3, 4)
-    with pytest.raises(InvalidArgs):
-        f_count(6, 7, 1)
-    with pytest.raises(InvalidArgs):
-        f_count(6, 2, -1)
+def test_count_Na_validates_its_cell() -> None:
+    for n, k in [(3, 0), (3, 4), (7, 1), (2, -1)]:
+        with pytest.raises(InvalidArgs):
+            count_Na(6, n, 6 - n, k)
 
 
 @pytest.mark.parametrize("N", [3, 4, 5, 6, 8, 10])

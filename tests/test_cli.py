@@ -556,14 +556,25 @@ class TestCensus:
 
     @pytest.mark.parametrize("n", ["1", "0", "-3"])
     def test_ring_below_two_sites_is_refused(self, runner, tmp_path, n):
-        out = tmp_path / "census.csv"
-        result = runner.invoke(main, ["census", "--n", n, "--out", str(out)])
-        assert result.exit_code == 1
-        assert json.loads(result.stderr) == {
-            "code": "InvalidArgs",
-            "message": f"ring size must be >= 2, got N={n}",
-        }
-        assert not out.exists()
+        # Every command that takes a ring size states the one rule.
+        for command in [
+            ["census"],
+            ["census", "--alpha", "1"],
+            ["spectrum", "--model", "tfim", "--lambda", "1"],
+            ["moments", "--model", "tfim", "--lambda", "1"],
+            ["approx", "--kind", "multi-tfim", "--lambda", "0.5"],
+            ["approx", "--kind", "multi-strong", "--lambda", "3", "--alpha", "1"],
+            ["approx", "--kind", "multi-int-alpha", "--lambda", "0.1", "--alpha", "1"],
+            ["approx", "--kind", "multi-generic", "--lambda", "0.1", "--alpha", "0.5"],
+        ]:
+            out = tmp_path / "x.csv"
+            result = runner.invoke(main, [*command, "--n", n, "--out", str(out)])
+            assert result.exit_code == 1, command
+            assert json.loads(result.stderr) == {
+                "code": "InvalidArgs",
+                "message": f"ring size must be >= 2, got N={n}",
+            }, command
+            assert not out.exists()
 
     def test_degeneracy_table(self, runner, tmp_path):
         out = tmp_path / "classes.csv"
@@ -580,6 +591,25 @@ class TestCensus:
             assert energy_text == str(census.energy_of[R])
             total += count
         assert total == 64
+
+
+@pytest.mark.parametrize("commands", [
+    [["spectrum", "--model", "tfim", "--n", "5", "--lambda", "1", "--method", "fermion"],
+     ["approx", "--kind", "multi-tfim", "--n", "5", "--lambda", "0.5"]],
+    [["approx", "--kind", kind, "--n", "8", "--lambda", "0", "--alpha", "0"]
+     for kind in ("multi-strong", "multi-generic")],
+    [[command, "--model", "tfim", "--n", "8", "--lambda", "0.5", "--alpha", "0.5", *rest]
+     for command, rest in [("spectrum", []), ("moments", []),
+                           ("approx", ["--kind", "multi-tfim"])]],
+], ids=["odd-ring", "zero-field", "tfim-with-alpha"])
+def test_one_rule_prints_one_error_line_from_every_command(runner, tmp_path, commands):
+    lines = set()
+    for command in commands:
+        result = runner.invoke(main, [*command, "--out", str(tmp_path / "x.csv")])
+        assert result.exit_code == 1, command
+        lines.add(result.stderr)
+    assert len(lines) == 1, lines
+    assert list(tmp_path.iterdir()) == []
 
 
 def assert_fails_fast_at_the_cap(runner, tmp_path, args, n):

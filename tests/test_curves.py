@@ -12,7 +12,6 @@ from scipy.signal import find_peaks
 
 from ising_density import table
 from ising_density.curves import (
-    MAX_BINS,
     PEAK_PROMINENCE_FRACTION,
     ComparisonReport,
     DensityCurve,
@@ -23,7 +22,12 @@ from ising_density.curves import (
     read_curve_csv,
     write_curve_csv,
 )
-from ising_density.errors import DisjointSupports, EmptySpectrum, InvalidArgs
+from ising_density.errors import (
+    MAX_GRID_POINTS,
+    DisjointSupports,
+    EmptySpectrum,
+    InvalidArgs,
+)
 from ising_density.fermion import enumerate_spectrum
 from ising_density.model import IsingParams, ManyBodySpectrum, exact_spectrum
 
@@ -83,7 +87,7 @@ def test_histogram_single_level_beyond_2_to_53() -> None:
 def test_histogram_validation() -> None:
     with pytest.raises(EmptySpectrum):
         histogram(make_spectrum([]))
-    for bins in (1, MAX_BINS + 1, 2**62):
+    for bins in (1, MAX_GRID_POINTS + 1, 2**62):
         with pytest.raises(InvalidArgs, match=f"got {bins}"):
             histogram(make_spectrum([0.0, 1.0]), bins=bins)
 

@@ -1,7 +1,8 @@
 """Tests that each subcommand imports only the modules it runs, that the
 package and CLI names resolve lazily to their home modules, that every public
-name has a caller outside the unit tests, and that the benchmark tracer can
-still replace the names the commands call."""
+name has a caller outside the unit tests and every private name a user in the
+package or the benchmark, and that the benchmark tracer can still replace the
+names the commands call."""
 
 from __future__ import annotations
 
@@ -29,11 +30,11 @@ TRACER = ROOT / "bench" / "tracer.py"
 # the exit-1 convention.
 BASE = {"cli", "errors"}
 # ``curves`` imports ``model`` and ``table``; ``peaks`` imports ``blocks``,
-# ``curves``, ``fermion`` and ``quadrature``; ``analytic`` and ``fermion``
-# import ``model`` and ``quadrature``.
+# ``curves`` and ``fermion``; ``analytic`` imports ``fermion`` and ``model``;
+# ``fermion`` imports ``model``.
 CURVES = {"curves", "model", "table"}
-PEAKS = {"peaks", "blocks", "fermion", "quadrature"} | CURVES
-ANALYTIC = {"analytic", "quadrature"} | CURVES
+PEAKS = {"peaks", "blocks", "fermion"} | CURVES
+ANALYTIC = {"analytic", "fermion"} | CURVES
 
 
 def _package_modules(modules: frozenset[str]) -> set[str]:
@@ -74,7 +75,7 @@ def _write_spectrum(path: Path) -> None:
           "--out", "s.csv"), {"model", "table"}),
         (("spectrum", "--model", "tfim", "--n", "6", "--lambda", "1",
           "--method", "fermion", "--out", "s.csv"),
-         {"model", "table", "fermion", "quadrature"}),
+         {"model", "table", "fermion"}),
         (("density", "--in", "d.csv", "--bins", "8", "--out", "h.csv"), CURVES),
         (("density", "--in", "d.csv", "--kde", "0.5", "--out", "k.csv"), CURVES),
         (("compare", "--a", "d.csv", "--b", "d.csv", "--out", "r.json"), CURVES),
@@ -190,16 +191,17 @@ def test_package_unknown_name_raises_attribute_error():
 
 
 def _references(tree: ast.AST, skip: str | None = None) -> set[str]:
-    """Names a tree refers to by a Name, an Attribute, an import alias or a
-    string that is exactly an identifier (as ``getattr`` and ``setattr`` take
-    it: the benchmark tracer wraps ``build_hamiltonian`` that way), leaving
-    out the body of each definition from the name it defines."""
+    """Names a tree refers to by a Name that is not an assignment target, an
+    Attribute, an import alias or a string that is exactly an identifier (as
+    ``getattr`` and ``setattr`` take it: the benchmark tracer wraps
+    ``build_hamiltonian`` that way), leaving out the body of each definition
+    from the name it defines."""
     found: set[str] = set()
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             found |= _references(node, skip=node.name)
             continue
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
@@ -222,3 +224,28 @@ def test_every_public_name_has_a_caller_outside_the_unit_tests():
     for path in sources:
         used |= _references(ast.parse(path.read_text(encoding="utf-8")))
     assert sorted(set(ising_density._HOMES) - used) == []
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """Module-level private names a module defines: by def, class or
+    assignment, dunders left out."""
+    names: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return {name for name in names if name.startswith("_") and not name.endswith("__")}
+
+
+def test_every_private_name_is_used_by_the_package_or_the_benchmark():
+    package = list((ROOT / "src" / "ising_density").glob("*.py"))
+    defined: set[str] = set()
+    used: set[str] = set()
+    for path in [*package, *(ROOT / "bench").glob("*.py")]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path in package:
+            defined |= _private_definitions(tree)
+        used |= _references(tree)
+    assert sorted(defined - used) == []

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
@@ -31,13 +32,13 @@ from ising_density.blocks import (
     _count_Na,
     _count_Nb,
     _count_Nc,
+    _f_count,
     brute_force_census,
     cells,
     count_Na,
     count_Nb,
     count_Nc,
     degeneracy_census,
-    f_count,
 )
 from ising_density.cli import _build_mixture
 from ising_density.curves import DensityCurve
@@ -549,11 +550,17 @@ def er_weighted_average_oracle(N: int, lam: float, R: int) -> float:
     for n, k in cells(N):
         if 2 * k - n != R:
             continue
-        f = f_count(N, n, k)
+        f = _f_count(N, n, k)
         cell_energy = root * (N - 2 * n) - (N - 4 * k) / (1 + lam * lam)
         total += f * cell_energy
         weight += f
     return total / weight
+
+
+def center_prefactor(lam: float) -> float:
+    """sqrt(1 + lam^2) - 1/(1 + lam^2) in the operation order of the centers."""
+    lam2 = lam * lam
+    return math.expm1(math.log1p(lam2) / 2.0) + lam2 / (1.0 + lam2)
 
 
 class TestSmallLambdaER:
@@ -732,7 +739,7 @@ class TestSmallLambdaSigmaR:
         N, lam = 8, 0.25
         assert count_Na(N, 4, 4, 4) == 0
         assert count_Nb(N, 4, 4, 4) == 0
-        expect = lam**4 / (1 + lam**2) ** 2 * count_Nc(N, 4, 4, 4) / f_count(N, 4, 4)
+        expect = lam**4 / (1 + lam**2) ** 2 * count_Nc(N, 4, 4, 4) / _f_count(N, 4, 4)
         assert small_lambda_sigmaR(N, lam, N // 2) ** 2 == pytest.approx(
             expect, rel=1e-12
         )
@@ -834,9 +841,7 @@ class TestSmallLambdaMixture:
             S = sum(
                 math.comb(n - 1, k - 1) * math.comb(N - n - 1, k - 1) for n, k in interior
             )
-            E_R = 2.0 * R * root + (root - 1.0 / (1.0 + lam * lam)) * (
-                N - 4.0 * N * S / N_R
-            )
+            E_R = 2.0 * R * root + center_prefactor(lam) * ((N * N_R - 4 * N * S) / N_R)
             shift = sum(
                 small_lambda_deltaE(N, n, N - n, k, 1.0, lam) for n, k in interior
             )
@@ -859,7 +864,7 @@ class TestSmallLambdaMixture:
         sums = {}
         for n, k in cells(N):
             m, R = N - n, 2 * k - n
-            f = f_count(N, n, k)
+            f = _f_count(N, n, k)
             entry = sums.setdefault(R, [0] * 6)
             entry[0] += f
             entry[2] += sum(count(N, n, m, k) for count in counts)
@@ -903,8 +908,8 @@ class TestSmallLambdaMixture:
             exact_pref = 2 * x**2 * N / (1 + x**2) ** 2
             for R, row in zip(table.R.tolist(), table.sums.tolist()):
                 size, blocks, moves, a, b, d = row
-                center = 2.0 * R * root + (root - 1.0 / (1.0 + lam * lam)) * (
-                    N - 4.0 * float(Fraction(N * blocks, size))
+                center = 2.0 * R * root + center_prefactor(lam) * float(
+                    Fraction(N * size - 4 * N * blocks, size)
                 )
                 sigma = math.sqrt(lam**4 / (1.0 + lam * lam) ** 2 * float(Fraction(moves, size)))
                 bracket = Fraction(a + 3 * b + 2 * N * d, 3 * N * size)
@@ -913,6 +918,24 @@ class TestSmallLambdaMixture:
                 assert small_lambda_sigmaR(N, lam, R) == sigma
                 assert shift == 2.0 * lam**2 * N / (1.0 + lam**2) ** 2 * float(bracket)
                 assert shift == pytest.approx(float(exact_pref * bracket), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("N", [12, 40, 200])
+    def test_class_centers_against_a_60_digit_evaluation(self, N):
+        # E_R = 2R sqrt(1 + lam^2) + (sqrt(1 + lam^2) - 1/(1 + lam^2))
+        # (N - 4N S_R / N_R) subtracts near-equal terms twice for R = 0, whose
+        # center was 4.8e-14 relative off at N = 200 when computed as written.
+        table = _unit_alpha_classes(N)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for lam in (0.05, 0.162, 0.3, 0.5):
+                x2 = Decimal(lam) ** 2
+                root = (1 + x2).sqrt()
+                for R, (size, blocks, *_) in zip(table.R.tolist(), table.sums.tolist()):
+                    exact = 2 * R * root + (root - 1 / (1 + x2)) * (
+                        N - Decimal(4 * N * blocks) / size
+                    )
+                    error = abs(Decimal(small_lambda_ER(N, lam, R)) - exact)
+                    assert error <= Decimal("1e-15") * abs(exact), (lam, R)
 
     def test_class_sums_beyond_float_range_give_finite_values(self):
         # Sums near 2^1100 leave float range; each value takes them only
@@ -926,8 +949,8 @@ class TestSmallLambdaMixture:
         assert all(np.isfinite(v).all() for v in values)
         root = math.sqrt(1.0 + lam * lam)
         for center, R, (size, blocks, *_) in zip(values[0], (-2, 0), rows):
-            assert center == 2.0 * R * root + (root - 1.0 / (1.0 + lam * lam)) * (
-                N - 4.0 * float(Fraction(N * blocks, size))
+            assert center == 2.0 * R * root + center_prefactor(lam) * float(
+                Fraction(N * size - 4 * N * blocks, size)
             )
         with pytest.raises(InvalidArgs, match="N=1"):
             small_lambda_components(1, 0.1)
@@ -970,7 +993,7 @@ class TestGenericAlphaMixture:
         for n, k in cells(N):
             mu = alpha * (N - 2 * n) + 4 * k - N
             comp = by_mean[round(mu, 9)]
-            assert comp.w == pytest.approx(f_count(N, n, k) / 2**N, rel=1e-14)
+            assert comp.w == pytest.approx(_f_count(N, n, k) / 2**N, rel=1e-14)
             total += comp.w
         assert total == pytest.approx(1.0, rel=1e-12)
 
@@ -1003,7 +1026,7 @@ class TestGenericAlphaMixture:
         # form degenerates to 0/0 evaluates to 2.
         N = 8
         for n, k in cells(N)[2:]:
-            ratio = Fraction(count_Nc(N, n, N - n, k), f_count(N, n, k))
+            ratio = Fraction(count_Nc(N, n, N - n, k), _f_count(N, n, k))
             if n == 1 or n == N - 1:
                 assert ratio == 2
                 continue
