@@ -74,7 +74,7 @@ from .errors import (
     InvalidArgs,
     NoConvergence,
     OutOfSupport,
-    beyond_float_range,
+    float_range,
 )
 from .fermion import g_phi
 from .model import IsingParams, abscissa_scale
@@ -161,9 +161,8 @@ def _panel_nodes(order: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
     w = np.concatenate((w, w)) * half
     # The curvature integral is largest at beta = 0; if it is finite, so is
     # every integral of the solve.
-    with np.errstate(over="ignore"):
-        if not np.isfinite(w @ (g * g)):
-            raise beyond_float_range(_CURVATURE, lam, 0.0)
+    with float_range(_CURVATURE, lam, 0.0) as finite:
+        finite(w @ (g * g))
     return g, w
 
 
@@ -217,8 +216,8 @@ def _agree(new: np.ndarray, old: np.ndarray) -> bool:
 def _saddle_grid(e: np.ndarray, lam: float) -> tuple[np.ndarray, ...]:
     """beta_sp, entropy S and curvature Integral g^2 sech^2 at every e of a
     1-D array; the algorithm and its error bound are in the module docstring."""
-    if not math.isfinite(_TWO_PI * (1.0 + lam * lam)):  # the curvature at beta = 0
-        raise beyond_float_range(_CURVATURE, lam, 0.0)
+    with float_range(_CURVATURE, lam, 0.0) as finite:
+        finite(_TWO_PI * (1.0 + lam * lam))  # the curvature at beta = 0
     e_gs = ground_state_energy_per_spin(lam)
     outside = np.flatnonzero(~(np.abs(e) < abs(e_gs)))
     if outside.size:
@@ -285,9 +284,8 @@ def gaussian_density_tfim(
             "gaussian_density_tfim applies to the transverse-field model only"
         )
     N, lam = params.N, params.lam
-    width = 1.0 + lam * lam
-    if not math.isfinite(width):
-        raise beyond_float_range("the bulk Gaussian width", lam, 0.0)
+    with float_range("the bulk Gaussian width", lam, 0.0) as finite:
+        width = finite(1.0 + lam * lam)
     value = np.sqrt(N / (_TWO_PI * width)) * np.exp(
         -N * np.asarray(e, dtype=float) ** 2 / (2.0 * width)
     )
@@ -311,10 +309,8 @@ def gaussian_density_two_fields(
     N, lam, alpha = params.N, params.lam, params.alpha
     w = 1.0 + lam * lam + alpha * alpha
     eps = np.asarray(E, dtype=float) / abscissa_scale(params, "eps")
-    try:  # a float ** raises OverflowError where * and + give inf
+    with float_range("the cubic correction", lam, alpha):
         denominator = math.sqrt(N) * w**1.5
-    except OverflowError:
-        raise beyond_float_range("the cubic correction", lam, alpha) from None
     base = np.exp(-(eps**2) / 2.0) / math.sqrt(_TWO_PI)
     value = base * (1.0 - alpha * alpha * (eps**3 - 3.0 * eps) / denominator)
     return float(value) if np.isscalar(E) else value

@@ -286,17 +286,19 @@ def approx(kind, model, n, lam, alpha, grid, per_spin, rescaled, out) -> None:
         raise click.UsageError("--per-spin and --rescaled are mutually exclusive")
     target = "e" if per_spin else ("eps" if rescaled else "E")
     _load("model", "curves")
+    import numpy as np
+
     model = model or ("tfim" if alpha == 0.0 else "two-field")
     params = IsingParams(n, lam, alpha, model)
     metadata = _params_metadata(params)
     metadata["kind"] = kind
+    # Sampled at E = grid * scale, written on the grid with densities * scale.
     if grid is not None:
-        import numpy as np
-
         from .curves import _require_grid
 
+        scale = abscissa_scale(params, target)
         with np.errstate(over="ignore"):  # the node rule refuses what overflows
-            e_grid = grid * abscissa_scale(params, target)
+            e_grid = grid * scale
         _require_grid(e_grid, "--grid scaled to units of E")
     mixture = None
     if kind in _MULTI_KINDS:
@@ -307,10 +309,12 @@ def approx(kind, model, n, lam, alpha, grid, per_spin, rescaled, out) -> None:
     else:
         if grid is None:
             raise click.UsageError(f"--grid is required for kind '{kind}'")
-        values = _analytic_values(kind, params, e_grid)
-        curve = DensityCurve(e_grid, values, abscissa="E")
-    if target != "E":
-        curve = curve.with_abscissa(target, params)
+        curve = DensityCurve(e_grid, _analytic_values(kind, params, e_grid))
+    if grid is None:
+        scale = abscissa_scale(params, target)
+        grid = e_grid / scale
+    with np.errstate(over="ignore"):  # the curve rule refuses what overflows
+        curve = DensityCurve(grid, curve.values * scale, abscissa=target)
     write_curve_csv(curve, out, metadata)
     if mixture is not None:
         sidecar = out.removesuffix(".csv") + ".mixture.json"

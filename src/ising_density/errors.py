@@ -1,12 +1,15 @@
 """Exception hierarchy for the ising_density package, and the one home of
 each rule that several modules check, with one message each: the memory cap
 (check_cap, asked before work whose memory grows with its input builds), the
-grid-point cap, and the integer, ring-size and finite-coupling rules.
+grid-point cap, the integer, ring-size and finite-coupling rules, and the
+float-range rule of every coupling formula (float_range).
 ``--help`` loads this module, so it imports no numpy."""
 
 from __future__ import annotations
 
+import contextlib
 import math
+from typing import Callable, Iterator
 
 DEFAULT_MAX_BYTES = 4 * 1024**3
 # The most points of a grid (--grid or a mixture's default) or bins of a histogram.
@@ -60,11 +63,26 @@ def require_finite_couplings(lam: float, alpha: float) -> None:
         raise InvalidArgs(f"lambda and alpha must be finite, got {lam!r} and {alpha!r}")
 
 
-def beyond_float_range(what: str, lam: float, alpha: float) -> InvalidArgs:
-    """The error for couplings at which a formula leaves float range."""
-    return InvalidArgs(
-        f"{what} at lambda = {lam!r}, alpha = {alpha!r} is beyond float range"
-    )
+@contextlib.contextmanager
+def float_range(what: str, lam: float, alpha: float) -> Iterator[Callable]:
+    """Refuse a coupling formula that leaves float range, with one message: an
+    OverflowError or ZeroDivisionError raised in the block (a float ** raises
+    where * and + give inf), or a non-finite value passed to the yielded
+    ``finite``, which returns a finite one as is.  numpy is silent inside."""
+    import numpy as np
+
+    def finite(value):
+        if not np.isfinite(value).all():
+            raise OverflowError
+        return value
+
+    try:
+        with np.errstate(all="ignore"):
+            yield finite
+    except (OverflowError, ZeroDivisionError):
+        raise InvalidArgs(
+            f"{what} at lambda = {lam!r}, alpha = {alpha!r} is beyond float range"
+        ) from None
 
 
 class OutOfSupport(IsingError):

@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .errors import CapExceeded, InvalidArgs, OddN, beyond_float_range
+from .errors import CapExceeded, InvalidArgs, OddN, float_range
 from .model import IsingParams, ManyBodySpectrum
 
 DEFAULT_MAX_SITES = 22
@@ -63,16 +63,14 @@ def _sector_levels(energies: np.ndarray, keep_even: bool) -> np.ndarray:
     """All sum_j e_j (n_j - 1/2) with the requested occupation parity.
 
     Builds the 2^N subset sums by doubling: after processing j levels the
-    arrays hold all subset sums of the first j energies with their parities.
+    arrays hold all subset sums of the first j energies, split by parity.
     """
-    sums = np.zeros(1)
-    parity = np.zeros(1, dtype=np.int8)
+    even, odd = np.zeros(1), np.zeros(0)
     for e in energies:
-        sums = np.concatenate([sums, sums + e])
-        parity = np.concatenate([parity, parity ^ 1])
+        even, odd = np.concatenate([even, odd + e]), np.concatenate([odd, even + e])
+    sums = even if keep_even else odd
     sums -= 0.5 * energies.sum()
-    mask = parity == (0 if keep_even else 1)
-    return sums[mask]
+    return sums
 
 
 def enumerate_spectrum(N: int, lam: float) -> ManyBodySpectrum:
@@ -88,8 +86,8 @@ def enumerate_spectrum(N: int, lam: float) -> ManyBodySpectrum:
     odd = one_particle_energy(size, momentum_grid(N, "odd"))
     # Levels lie within half the dispersion's sum, which lambda^2 overflows
     # from |lambda| ~ 1e154 on.
-    if not math.isfinite(even.sum() + odd.sum()):
-        raise beyond_float_range("the free-fermion dispersion", params.lam, 0.0)
+    with float_range("the free-fermion dispersion", params.lam, 0.0) as finite:
+        finite(even.sum() + odd.sum())
     energies = np.concatenate(
         [
             _sector_levels(even, keep_even=True),

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DEFAULT_MAX_BYTES  # noqa: F401  (bench/checks.py reads it here)
-from .errors import EigensolverFailure, InvalidArgs, beyond_float_range, check_cap
+from .errors import EigensolverFailure, InvalidArgs, check_cap, float_range
 from .errors import require_finite_couplings, require_ring
 
 _MODELS = ("tfim", "two-field")
@@ -76,19 +76,14 @@ def abscissa_scale(params: IsingParams, abscissa: str) -> float:
         return float(params.N)
     if abscissa == "eps":
         lam, alpha = params.lam, params.alpha
-        try:  # a float ** raises OverflowError where * and + give inf
-            scale = math.sqrt(params.N * (1.0 + lam**2 + alpha**2))
-        except OverflowError:
-            scale = math.inf
-        if not math.isfinite(scale):
-            raise beyond_float_range("the rescaled abscissa eps", lam, alpha)
-        return scale
+        with float_range("the rescaled abscissa eps", lam, alpha) as finite:
+            return finite(math.sqrt(params.N * (1.0 + lam**2 + alpha**2)))
     raise InvalidArgs(f"abscissa must be one of {ABSCISSAE}")
 
 
 @dataclass(frozen=True)
 class ManyBodySpectrum:
-    """A complete sorted many-body spectrum and how it was obtained."""
+    """Many-body energies, in the order given, and how they were obtained."""
 
     energies: np.ndarray
     method: str
@@ -173,8 +168,8 @@ def exact_spectrum(params: IsingParams) -> ManyBodySpectrum:
     """
     N, lam, alpha = params.N, params.lam, params.alpha
     # Gershgorin: every level lies within N (1 + |lambda| + |alpha|) of 0.
-    if not math.isfinite(N * (1.0 + abs(lam) + abs(alpha))):
-        raise beyond_float_range("the Hamiltonian", lam, alpha)
+    with float_range("the Hamiltonian", lam, alpha) as finite:
+        finite(N * (1.0 + abs(lam) + abs(alpha)))
     dim = 1 << N
     # Orbit tables and term arrays take about 160 bytes per state.  A block is
     # held twice during its solve (eigvalsh works on a copy), and the k = 0
@@ -243,13 +238,10 @@ def numeric_moments(spectrum: ManyBodySpectrum, max_order: int = 4) -> MomentSet
         raise InvalidArgs(
             f"spectrum incomplete: {len(E)} energies for N={spectrum.params.N}"
         )
-    try:
-        with np.errstate(over="raise", invalid="raise"):  # overflow is an error
-            values = {f"m{k}": float(np.mean(E**k)) for k in range(1, max_order + 1)}
-    except FloatingPointError:
-        params = spectrum.params
-        raise beyond_float_range("a spectral moment", params.lam, params.alpha) from None
-    return MomentSet(**values)
+    params = spectrum.params
+    with float_range("a spectral moment", params.lam, params.alpha) as finite:
+        orders = range(1, max_order + 1)
+        return MomentSet(**{f"m{k}": finite(float(np.mean(E**k))) for k in orders})
 
 
 def analytic_moments(params: IsingParams) -> MomentSet:
@@ -261,7 +253,7 @@ def analytic_moments(params: IsingParams) -> MomentSet:
     should prefer numeric_moments.
     """
     N, lam, alpha = params.N, params.lam, params.alpha
-    try:  # a float ** raises OverflowError where * and + give inf
+    with float_range("the closed-form moment m4", lam, alpha) as finite:
         w = 1.0 + lam**2 + alpha**2
         m4 = 3 * N**2 * w**2 - N * (
             2
@@ -271,8 +263,5 @@ def analytic_moments(params: IsingParams) -> MomentSet:
             + 2 * alpha**4
             - 24 * alpha**2
         )
-    except OverflowError:
-        m4 = math.inf
-    if not math.isfinite(m4):  # m2 and m3 are finite wherever m4 is
-        raise beyond_float_range("the closed-form moment m4", lam, alpha)
+        finite(m4)  # m2 and m3 are finite wherever m4 is
     return MomentSet(m1=0.0, m2=N * w, m3=-6.0 * N * alpha**2, m4=m4)

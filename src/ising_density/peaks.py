@@ -56,8 +56,8 @@ from .errors import (
     InvalidArgs,
     InvalidRegime,
     UnknownClass,
-    beyond_float_range,
     check_cap,
+    float_range,
     require_finite_couplings,
     require_integer,
     require_ring,
@@ -195,16 +195,13 @@ class XXProjectionReport:
 # ----------------------------------------------------------------------------
 
 
-# Overflowing couplings give non-finite moments, which are refused by name.
-@np.errstate(over="ignore", invalid="ignore")
 def _tfim_moments(N: int, lam: float, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    es = one_particle_energy(lam, momentum_grid(N, "even"))
-    e1 = float(np.sum(es)) / (2 * N)
-    e2 = float(np.sum(es * es)) / (4 * N)
-    mean = (N - 2 * n) * e1
-    var = 4.0 * n * (N - n) / (N - 1) * (e2 - e1 * e1)
-    if not (np.isfinite(mean).all() and np.isfinite(var).all()):
-        raise beyond_float_range("a transverse-field cluster moment", lam, 0.0)
+    with float_range("a transverse-field cluster moment", lam, 0.0) as finite:
+        es = one_particle_energy(lam, momentum_grid(N, "even"))
+        e1 = float(np.sum(es)) / (2 * N)
+        e2 = float(np.sum(es * es)) / (4 * N)
+        mean = finite((N - 2 * n) * e1)
+        var = finite(4.0 * n * (N - n) / (N - 1) * (e2 - e1 * e1))
     return mean, np.where(var < 0.0, 0.0, var)
 
 
@@ -272,12 +269,8 @@ def visibility_Nmax(lam: float, alpha: float, regime: str) -> Visibility:
         )
     if lam == 0.0 and regime != "tfim-large":
         raise InvalidArgs(f"{regime} visibility requires lambda != 0")
-    try:
-        n_max = formula(lam, alpha)
-    except (ZeroDivisionError, OverflowError):  # a power under- or overflowed
-        n_max = math.inf
-    if not math.isfinite(n_max):
-        raise beyond_float_range(f"{regime} visibility N_max", lam, alpha)
+    with float_range(f"{regime} visibility N_max", lam, alpha) as finite:
+        n_max = finite(formula(lam, alpha))
     return Visibility(n_max, regime == "small-lambda-integer-alpha")
 
 
@@ -293,22 +286,17 @@ def _combined_field(lam: float, alpha: float) -> float:
     return math.sqrt(root_sq)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # as _tfim_moments
 def _strong_field_moments(
     N: int, lam: float, alpha: float, n: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     root = _combined_field(lam, alpha)
-    root_sq = root * root
-    mean = root * (N - 2 * n) - (N - 4.0 * n * (N - n) / (N - 1)) * (
-        alpha * alpha / root_sq
-    )
-    try:  # a float ** raises OverflowError where * and + give inf
+    with float_range("a strong-field cluster moment", lam, alpha) as finite:
+        root_sq = root * root
+        mean = root * (N - 2 * n) - (N - 4.0 * n * (N - n) / (N - 1)) * (
+            alpha * alpha / root_sq
+        )
         var = 2.0 * n * (N - n) / (N - 1) * lam**4 / root_sq**2
-    except OverflowError:
-        var = np.inf
-    if not (np.isfinite(mean).all() and np.isfinite(var).all()):
-        raise beyond_float_range("a strong-field cluster moment", lam, alpha)
-    return mean, var
+        return finite(mean), finite(var)
 
 
 def strong_field_components(N: int, lam: float, alpha: float) -> GaussianMixture:
@@ -383,36 +371,30 @@ def _class_value(values_of: Callable, N: int, lam: float, R: int) -> float:
     return float(values_of(table, N, float(lam))[table.row[R]])
 
 
-@np.errstate(over="ignore", invalid="ignore")  # as _tfim_moments
 def _class_centers(table: _ClassTable, N: int, lam: float) -> np.ndarray:
     size, blocks = table.sums.T[:2]
     lam2 = lam * lam
     # sqrt(1 + lam^2) - 1 / (1 + lam^2) and N - 4 N S_R / N_R without
     # subtracting near-equal floats: the R = 0 center is their product alone.
     prefactor = math.expm1(math.log1p(lam2) / 2.0) + lam2 / (1.0 + lam2)
-    centers = 2.0 * table.R * math.sqrt(1.0 + lam2) + prefactor * _ratio(
-        N * size - 4 * N * blocks, size
-    )
-    if not np.isfinite(centers).all():
-        raise beyond_float_range("a class center E_R", lam, 1.0)
-    return centers
+    with float_range("a class center E_R", lam, 1.0) as finite:
+        return finite(
+            2.0 * table.R * math.sqrt(1.0 + lam2)
+            + prefactor * _ratio(N * size - 4 * N * blocks, size)
+        )
 
 
 def _class_shifts(table: _ClassTable, N: int, lam: float) -> np.ndarray:
     size, _, _, a, b, d = table.sums.T
-    try:
+    with float_range("the class shift prefactor", lam, 1.0):
         return _second_order_shift(N, 1.0, lam, a, b, d, size)
-    except OverflowError:
-        raise beyond_float_range("the class shift prefactor", lam, 1.0) from None
 
 
 def _class_widths(table: _ClassTable, N: int, lam: float) -> np.ndarray:
     _require_transition_ring(N)
     size, _, moves = table.sums.T[:3]
-    try:
+    with float_range("a class width sigma_R", lam, 1.0):
         return np.sqrt(lam**4 / (1.0 + lam * lam) ** 2 * _ratio(moves, size))
-    except OverflowError:
-        raise beyond_float_range("a class width sigma_R", lam, 1.0) from None
 
 
 def small_lambda_ER(N: int, lam: float, R: int) -> float:
@@ -526,10 +508,8 @@ def generic_alpha_components(N: int, lam: float, alpha: float) -> GaussianMixtur
     """
     lam, alpha = float(lam), float(alpha)
     _combined_field(lam, alpha)  # refuses lambda = alpha = 0
-    try:
+    with float_range("the cell width coupling", lam, alpha):
         coupling = lam**4 / (alpha**2 + lam**2) ** 2
-    except (OverflowError, ZeroDivisionError):  # a power over- or underflowed
-        raise beyond_float_range("the cell width coupling", lam, alpha) from None
     pairs = cells(N)  # the two polarized cells first: spikes
     n, k = np.array(pairs).T
     counts = [_f_count(N, a, b) for a, b in pairs]

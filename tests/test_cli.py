@@ -212,6 +212,27 @@ class TestApprox:
             gaussian_density_tfim(0.0, params), rel=1e-9
         )
 
+    @pytest.mark.parametrize("args, abscissa", [
+        (("--kind", "saddle", "--lambda", "0.7", "--grid=-0.7:0.7:15", "--per-spin"),
+         "e"),
+        (("--kind", "gaussian", "--lambda", "0.3", "--alpha", "0.7", "--grid=-3:3:13",
+          "--rescaled"), "eps"),
+        (("--kind", "multi-strong", "--lambda", "1.5", "--alpha", "1",
+          "--grid=-3.3:3.3:23", "--per-spin"), "e"),
+    ], ids=["saddle-per-spin", "gaussian-rescaled", "multi-strong-per-spin"])
+    def test_scaled_abscissa_is_the_grid_asked_for(
+        self, runner, tmp_path, args, abscissa
+    ):
+        # N = 12 is not a power of two, so E / 12 need not give back e exactly.
+        out = tmp_path / "x.csv"
+        run_ok(runner, ["approx", "--n", "12", *args, "--out", str(out)])
+        curve, _ = read_curve_csv(str(out))
+        lo, hi, points = args[-2].removeprefix("--grid=").split(":")
+        assert curve.abscissa == abscissa
+        np.testing.assert_array_equal(
+            curve.grid, np.linspace(float(lo), float(hi), int(points))
+        )
+
     @pytest.mark.parametrize("kind, alpha, builder, count", [
         pytest.param(kind, alpha, builder, count, id=kind)
         for kind, alpha, builder, count in (

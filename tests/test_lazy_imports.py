@@ -249,3 +249,18 @@ def test_every_private_name_is_used_by_the_package_or_the_benchmark():
             defined |= _private_definitions(tree)
         used |= _references(tree)
     assert sorted(defined - used) == []
+
+
+def test_only_errors_catches_overflow():
+    # Every coupling formula refuses its overflow through errors.float_range,
+    # so no other module names OverflowError in an except clause.
+    found = []
+    for path in sorted((ROOT / "src" / "ising_density").glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names = {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+                if "OverflowError" in names:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []

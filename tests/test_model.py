@@ -78,6 +78,32 @@ def test_abscissa_scale_eps_beyond_float_range_is_refused(lam, alpha) -> None:
     assert abscissa_scale(params, "e") == 8.0
 
 
+_BEYOND = "the test formula at lambda = 2.0, alpha = -0.5 is beyond float range"
+
+
+@pytest.mark.parametrize("body", [
+    lambda finite: 1e200**2,
+    lambda finite: 1.0 / 0.0,
+    lambda finite: finite(float("inf")),
+    lambda finite: finite(float("nan")),
+    lambda finite: finite(np.array([1.0, -np.inf])),
+    lambda finite: finite(np.array([np.nan, 1.0])),
+], ids=["overflow", "zero-division", "inf", "nan", "inf-in-array", "nan-in-array"])
+def test_float_range_refuses_with_one_message(body) -> None:
+    with pytest.raises(InvalidArgs) as info:
+        with errors.float_range("the test formula", 2.0, -0.5) as finite:
+            body(finite)
+    assert str(info.value) == _BEYOND
+
+
+def test_float_range_silences_numpy_and_passes_finite_values_through() -> None:
+    value = np.array([1.0, 2.0])
+    with errors.float_range("the test formula", 2.0, -0.5) as finite:
+        assert np.isinf(np.array([1e300]) * 1e300).all()  # no RuntimeWarning
+        assert finite(value) is value
+        assert finite(3.5) == 3.5
+
+
 def test_build_hamiltonian_three_site_classical() -> None:
     H = build_hamiltonian(IsingParams.tfim(3, 0.0))
     spectrum = np.linalg.eigvalsh(H)
