@@ -14,9 +14,21 @@ Conventions shared by all subcommands:
 * grids are given as ``LO:HI:POINTS`` with inclusive endpoints, interpreted
   in the output abscissa: absolute energy ``E`` by default, per-spin ``e``
   with ``--per-spin``, rescaled ``eps`` with ``--rescaled``.
+
+The CLI bounds how long an idle OpenBLAS worker spins before it sleeps; a
+value the caller set for ``OPENBLAS_THREAD_TIMEOUT`` wins.
 """
 
 from __future__ import annotations
+
+import os
+
+# OpenBLAS reads this once, when numpy loads, so it is set before anything
+# here can import numpy.  After start-up and after each BLAS call an idle
+# worker spins on sched_yield for 2**28 TSC cycles (about 0.1 s of a core)
+# before it sleeps; 2**16 is about 25 µs.  It moves no result bit.  The
+# thread count, which does move dense eigenvalue bits, is left alone.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "16")
 
 import functools
 import importlib

@@ -76,9 +76,11 @@ class DensityCurve:
 
     def with_abscissa(self, target: str, params: IsingParams) -> "DensityCurve":
         """Exact mass-preserving change of abscissa units."""
-        factor = abscissa_scale(params, self.abscissa) / abscissa_scale(params, target)
+        scale_from = abscissa_scale(params, self.abscissa)
+        scale_to = abscissa_scale(params, target)
         with np.errstate(over="ignore"):  # the curve rule refuses what overflows
-            grid, values = self.grid * factor, self.values / factor
+            grid = self.grid * scale_from / scale_to
+            values = self.values * scale_to / scale_from
         return DensityCurve(grid=grid, values=values, abscissa=target)
 
 

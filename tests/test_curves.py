@@ -220,6 +220,21 @@ def test_density_curve_abscissa_conversion() -> None:
     np.testing.assert_allclose(back.values, values, atol=1e-12)
 
 
+def test_per_spin_conversion_divides_by_n_exactly() -> None:
+    # grid * (1/12) is 1 ulp off grid / 12 at about a third of these nodes.
+    params = IsingParams.two_field(12, 0.7, 0.5)
+    grid = np.linspace(-20.0, 20.0, 1001)
+    values = np.exp(-(grid**2) / 20.0) / math.sqrt(20.0 * math.pi)
+    curve = DensityCurve(grid, values, abscissa="E")
+    per_spin = curve.with_abscissa("e", params)
+    assert np.array_equal(per_spin.grid, grid / 12)
+    assert per_spin.integral() == pytest.approx(curve.integral(), abs=1e-15)
+    spin_curve = DensityCurve(grid, values, abscissa="e")
+    absolute = spin_curve.with_abscissa("E", params)
+    assert np.array_equal(absolute.grid, grid * 12)
+    assert absolute.integral() == pytest.approx(spin_curve.integral(), abs=1e-15)
+
+
 def test_compare_identical_curves() -> None:
     grid = np.linspace(0.0, 1.0, 101)
     values = 1.0 + np.sin(2 * math.pi * grid) ** 2

@@ -1,8 +1,9 @@
 """Tests that each subcommand imports only the modules it runs, that the
 package and CLI names resolve lazily to their home modules, that every public
 name has a caller outside the unit tests and every private name a user in the
-package or the benchmark, and that the benchmark tracer can still replace the
-names the commands call."""
+package or the benchmark, that the benchmark tracer can still replace the
+names the commands call, and that the CLI's bound on OpenBLAS's idle spin is
+set before numpy loads and moves no output byte."""
 
 from __future__ import annotations
 
@@ -143,6 +144,66 @@ def test_traced_run_records_the_mixture_and_the_cell_walk(tmp_path):
     trace = json.loads((tmp_path / "trace.json").read_text())
     assert "peaks.components" in [span[0] for span in trace["spans"]]
     assert trace["counts"]["blocks.cells.calls"] >= 1
+
+
+def _fresh_env(**variables: str) -> dict[str, str]:
+    """This process's environment without ``OPENBLAS_THREAD_TIMEOUT``, with
+    the package importable and ``variables`` set."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    env["PYTHONPATH"] = str(Path(ising_density.__file__).parents[1])
+    return {**env, **variables}
+
+
+@pytest.mark.parametrize(
+    "module, given, expected",
+    [
+        ("ising_density.cli", None, "16"),
+        ("ising_density.cli", "20", "20"),
+        ("ising_density", None, None),
+    ],
+)
+def test_only_the_cli_bounds_the_openblas_spin_before_numpy_loads(
+    module, given, expected
+):
+    script = "import importlib, json, os, sys; importlib.import_module(sys.argv[1]); " \
+        "print(json.dumps([os.environ.get('OPENBLAS_THREAD_TIMEOUT'), " \
+        "'numpy' in sys.modules]))"
+    env = _fresh_env() if given is None else _fresh_env(OPENBLAS_THREAD_TIMEOUT=given)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, module], env=env, capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [expected, False]
+
+
+def test_spin_bound_and_tracer_leave_dense_spectrum_bytes_alone(tmp_path):
+    # A setting that acts on the BLAS library must not move a result byte,
+    # and a traced run, which loads numpy before ``main``, must write what
+    # an untraced one does.  At N = 12 the thread count moves bytes (one
+    # BLAS thread writes another file), so this run would see it change.
+    args = ["spectrum", "--model", "two-field", "--n", "12", "--lambda", "0.7",
+            "--alpha", "0.4"]
+    runs = {
+        "bound.csv": ([sys.executable, "-m", "ising_density"], _fresh_env()),
+        "default.csv": ([sys.executable, "-m", "ising_density"],
+                        _fresh_env(OPENBLAS_THREAD_TIMEOUT="28")),
+        "traced.csv": ([sys.executable, "-c", "import sys; sys.path.insert(0, "
+                        "sys.argv[1]); import tracer; tracer.run(sys.argv[2], "
+                        "sys.argv[3:])", str(TRACER.parent), "trace.json"],
+                       _fresh_env()),
+    }
+    for out, (command, env) in runs.items():
+        proc = subprocess.run(
+            [*command, *args, "--out", out],
+            cwd=tmp_path,
+            env={**env, "OPENBLAS_NUM_THREADS": "2"},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+    written = {out: (tmp_path / out).read_bytes() for out in runs}
+    assert written["bound.csv"] == written["default.csv"] == written["traced.csv"]
 
 
 def test_spectrum_calls_a_replaced_exact_spectrum(tmp_path, monkeypatch):
