@@ -77,7 +77,6 @@ _NAMES = {
     ),
     "peaks": (
         "GaussianMixture",
-        "MixtureComponent",
         "Visibility",
         "XXProjectionReport",
         "generic_alpha_components",

@@ -19,17 +19,17 @@ mixture of Gaussians, one per cluster.  Four regimes are covered:
 * **Small coupling at generic longitudinal field** -- one component per
   ``(n, k)`` cell, with the polarized cells appearing as delta spikes.
 
-Each regime builds a :class:`GaussianMixture` of components (weights,
-centers, widths), which samples itself onto a grid as a
-:class:`~ising_density.curves.DensityCurve`; a visibility helper reports up
-to which ring size the cluster structure remains resolved.
+Each regime builds a :class:`GaussianMixture`, one read-only table with a
+(weight, center, variance) row per cluster, which samples itself onto a grid
+as a :class:`~ising_density.curves.DensityCurve`; a visibility helper reports
+up to which ring size the cluster structure remains resolved.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
@@ -68,20 +68,12 @@ XX_PROJECTION_MAX_SITES = 12
 
 _WEIGHT_TOL = 1e-12
 _WINDOW_SIGMAS = 40.0  # exp(-40^2 / 2) underflows to 0.0
-_COMPONENT_BYTES = 1024  # tracemalloc: 924, 849 B at N = 4000, 8000 with sidecar
+_COMPONENT_BYTES = 1088  # tracemalloc, with sidecar: 1054, 1051 B at N = 4000, 8000
 
 
 # ----------------------------------------------------------------------------
 # mixture container
 # ----------------------------------------------------------------------------
-
-
-class MixtureComponent(NamedTuple):
-    """One Gaussian peak: weight, center, and variance (0 = delta spike)."""
-
-    w: float
-    mu: float
-    var: float
 
 
 def _require_all(values: np.ndarray, ok: np.ndarray, rule: str) -> None:
@@ -90,23 +82,20 @@ def _require_all(values: np.ndarray, ok: np.ndarray, rule: str) -> None:
         raise InvalidArgs(f"component {rule}, got {float(values[bad[0]])!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianMixture:
     """A convex combination of Gaussian peaks.
 
-    Built from ``(w, mu, var)`` triples or a ``(components, 3)`` array; the
-    weights, centers and variances are kept as the read-only float arrays
-    ``w``, ``mu`` and ``var`` and as the tuple ``components``.  Zero-variance
-    components are delta spikes; when sampled onto a grid their mass is
-    deposited on the nearest grid node, scaled by the inverse trapezoid
-    weight of that node so the sampled curve integrates to the spike's
-    weight exactly.
+    Built from ``(w, mu, var)`` triples or a ``(k, 3)`` array and kept as one
+    read-only ``(k, 3)`` float array ``components``, one row per peak; the
+    weights ``w``, centers ``mu`` and variances ``var`` are read-only views
+    of its columns.  Zero-variance components are delta spikes; when sampled
+    onto a grid their mass is deposited on the nearest grid node, scaled by
+    the inverse trapezoid weight of that node so the sampled curve
+    integrates to the spike's weight exactly.
     """
 
-    components: tuple[MixtureComponent, ...]
-    w: np.ndarray = field(init=False, repr=False, compare=False)
-    mu: np.ndarray = field(init=False, repr=False, compare=False)
-    var: np.ndarray = field(init=False, repr=False, compare=False)
+    components: np.ndarray
 
     def __post_init__(self) -> None:
         table = np.array(self.components, dtype=float)
@@ -124,10 +113,11 @@ class GaussianMixture:
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise InvalidArgs(f"component weights must sum to 1, got {total!r}")
         table.flags.writeable = False
-        for name, column in zip(("w", "mu", "var"), table.T):
-            object.__setattr__(self, name, column)
-        comps = tuple(map(MixtureComponent._make, table.tolist()))
-        object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "components", table)
+
+    w = property(lambda self: self.components[:, 0])
+    mu = property(lambda self: self.components[:, 1])
+    var = property(lambda self: self.components[:, 2])
 
     def density_curve(self, grid: Iterable[float]) -> DensityCurve:
         """Sample the mixture, in ``E``, on a grid that keeps the node rule.
@@ -167,7 +157,8 @@ class GaussianMixture:
         return DensityCurve(grid=grid, values=values)
 
     def to_json_dict(self) -> dict:
-        return {"components": [c._asdict() for c in self.components]}
+        rows = self.components.tolist()
+        return {"components": [dict(zip(("w", "mu", "var"), row)) for row in rows]}
 
 
 class Visibility(NamedTuple):
@@ -205,10 +196,15 @@ def _tfim_moments(N: int, lam: float, n: np.ndarray) -> tuple[np.ndarray, np.nda
     return mean, np.where(var < 0.0, 0.0, var)
 
 
+def _check_components(N: int, count: int) -> None:
+    """Refuse a mixture of ``count`` components, with its sidecar, past the cap."""
+    check_cap(f"a mixture of {count} components at N = {N}", count * _COMPONENT_BYTES)
+
+
 def _occupations(N: int, step: int = 1) -> np.ndarray:
     """n = 0, step, ..., N, once the ring and its N + 1 components pass the caps."""
     require_ring(N)
-    check_cap(f"a mixture of {N + 1} components at N = {N}", (N + 1) * _COMPONENT_BYTES)
+    _check_components(N, N + 1)
     return np.arange(0, N + 1, step)
 
 
@@ -445,6 +441,7 @@ def small_lambda_deltaE(
             f"(n, k) = ({n}, {k}) is not an interior cell of the ring N = {N}"
         )
     alpha, lam = float(alpha), float(lam)
+    require_finite_couplings(lam, alpha)
     if abs(alpha) == 2.0:
         raise AlphaSingular(
             "the second-order shift is singular at alpha = +/-2 "
@@ -454,7 +451,8 @@ def small_lambda_deltaE(
         return 0.0
     f = _f_count(N, n, k)
     a, b, d = (2 * k - n) * f, (2 * k - m) * f, _shift_d(n, m, k)
-    return float(_second_order_shift(N, alpha, lam, a, b, d, 1))
+    with float_range("the second-order cell shift", lam, alpha) as finite:
+        return float(finite(_second_order_shift(N, alpha, lam, a, b, d, 1)))
 
 
 def small_lambda_deltaE_R(N: int, lam: float, R: int) -> float:
@@ -510,6 +508,8 @@ def generic_alpha_components(N: int, lam: float, alpha: float) -> GaussianMixtur
     _combined_field(lam, alpha)  # refuses lambda = alpha = 0
     with float_range("the cell width coupling", lam, alpha):
         coupling = lam**4 / (alpha**2 + lam**2) ** 2
+    require_ring(N)
+    _check_components(N, 2 + N * N // 4)  # one per cell, checked before the walk
     pairs = cells(N)  # the two polarized cells first: spikes
     n, k = np.array(pairs).T
     counts = [_f_count(N, a, b) for a, b in pairs]
@@ -523,12 +523,6 @@ def generic_alpha_components(N: int, lam: float, alpha: float) -> GaussianMixtur
 # ----------------------------------------------------------------------------
 # XX projection check
 # ----------------------------------------------------------------------------
-
-
-def _require_occupation(N: int, n: int) -> None:
-    require_integer("occupation", "n", n)
-    if n < 0 or n > N:
-        raise InvalidArgs(f"occupation n must satisfy 0 <= n <= N, got n={n}, N={N}")
 
 
 def xx_projection_check(N: int, lam: float, alpha: float, n: int) -> XXProjectionReport:
@@ -546,25 +540,28 @@ def xx_projection_check(N: int, lam: float, alpha: float, n: int) -> XXProjectio
         raise CapExceeded(
             f"xx projection check caps at N = {XX_PROJECTION_MAX_SITES}, got {N}"
         )
-    _require_occupation(N, n)
+    require_integer("occupation", "n", n)
+    if n < 0 or n > N:
+        raise InvalidArgs(f"occupation n must satisfy 0 <= n <= N, got n={n}, N={N}")
     lam, alpha = float(lam), float(alpha)
-    root = _combined_field(lam, alpha)
-    cos2 = lam * lam / (lam * lam + alpha * alpha)
-    states = [b for b in range(1 << N) if bin(b).count("1") == n]
-    index = {b: i for i, b in enumerate(states)}
-    dim = len(states)
-    H = np.zeros((dim, dim))
-    diag = root * (N - 2 * n)
-    np.fill_diagonal(H, diag)
-    for b in states:
-        for j in range(N):
-            j2 = (j + 1) % N
-            if (b >> j) & 1 and not (b >> j2) & 1:
-                partner = b ^ (1 << j) ^ (1 << j2)
-                H[index[partner], index[b]] += -cos2
-                H[index[b], index[partner]] += -cos2
-    mean_exact = float(np.trace(H)) / dim
-    second = float(np.sum(H * H)) / dim  # Tr(H^2)/dim for the symmetric block
+    require_finite_couplings(lam, alpha)
+    with float_range("the XX projection block", lam, alpha) as finite:
+        root = finite(_combined_field(lam, alpha))
+        cos2 = finite(lam * lam / (lam * lam + alpha * alpha))
+        states = [b for b in range(1 << N) if bin(b).count("1") == n]
+        index = {b: i for i, b in enumerate(states)}
+        dim = len(states)
+        H = np.zeros((dim, dim))
+        np.fill_diagonal(H, root * (N - 2 * n))
+        for b in states:
+            for j in range(N):
+                j2 = (j + 1) % N
+                if (b >> j) & 1 and not (b >> j2) & 1:
+                    partner = b ^ (1 << j) ^ (1 << j2)
+                    H[index[partner], index[b]] += -cos2
+                    H[index[b], index[partner]] += -cos2
+        mean_exact = float(np.trace(H)) / dim
+        second = finite(float(np.sum(H * H)) / dim)  # Tr(H^2)/dim, H symmetric
     variance_exact = max(second - mean_exact * mean_exact, 0.0)
     mean_formula = root * (N - 2 * n)
     variance_formula = 2.0 * n * (N - n) / (N - 1) * cos2 * cos2

@@ -260,7 +260,7 @@ class TestApprox:
             [(c["w"], c["mu"], c["var"]) for c in payload["components"]]
         )
         assert len(mixture.components) == count
-        assert mixture == builder()
+        assert np.array_equal(mixture.components, builder().components)
 
     def test_multi_int_alpha_defaults(self, runner, tmp_path):
         # The figure-preview form: no --model, no --grid; model is inferred
@@ -644,6 +644,7 @@ def assert_fails_fast_at_the_cap(runner, tmp_path, args, n):
     assert error["code"] == "CapExceeded"
     assert f"N = {n}" in error["message"]
     assert list(tmp_path.iterdir()) == []
+    return error["message"]
 
 
 @pytest.mark.parametrize("n", ["100000", str(2**62)])
@@ -657,6 +658,14 @@ def test_cell_walks_beyond_the_memory_cap_fail_fast(runner, tmp_path, command, n
     # cells(N) refuses the ring before it builds a cell; census --n 100000
     # ran out of memory before, and multi-int-alpha had a float-range cap.
     assert_fails_fast_at_the_cap(runner, tmp_path, [*command, "--n", n], n)
+
+
+def test_multi_generic_counts_its_components_against_the_cap(runner, tmp_path):
+    # cells(4200) passes the walk's own cap (4,410,002 cells at 516 B each),
+    # but the mixture of one component per cell and its sidecar do not.
+    args = ["approx", "--kind", "multi-generic", "--lambda", "0.1", "--alpha", "0.5"]
+    message = assert_fails_fast_at_the_cap(runner, tmp_path, [*args, "--n", "4200"], "4200")
+    assert message.startswith("a mixture of 4410002 components at N = 4200 ")
 
 
 class TestMoments:

@@ -54,7 +54,6 @@ from ising_density.fermion import momentum_grid, one_particle_energy
 from ising_density.model import IsingParams, build_hamiltonian, exact_spectrum
 from ising_density.peaks import (
     GaussianMixture,
-    MixtureComponent,
     Visibility,
     XXProjectionReport,
     generic_alpha_components,
@@ -173,8 +172,8 @@ def tfim_cluster(N: int, lam: float, n: int) -> tuple[float, float]:
 
 def strong_cluster(N: int, lam: float, alpha: float, n: int) -> tuple[float, float]:
     """Mean and variance of component n of the strong-field mixture."""
-    component = strong_field_components(N, lam, alpha).components[n]
-    return component.mu, component.var
+    mix = strong_field_components(N, lam, alpha)
+    return float(mix.mu[n]), float(mix.var[n])
 
 
 # ----------------------------------------------------------------------------
@@ -187,14 +186,14 @@ def full_sum_density(mix: GaussianMixture, grid: np.ndarray) -> np.ndarray:
     its nearest node (the lower one on a tie).  Outside its window a Gaussian
     underflows to 0.0, so the windowed sampling must match this bit for bit."""
     values = np.zeros_like(grid)
-    for w, mu, var in mix.components:
+    for w, mu, var in mix.components.tolist():
         if var > 0.0:
             values += w * np.exp(-((grid - mu) ** 2) / (2.0 * var)) / math.sqrt(
                 2.0 * math.pi * var
             )
     trapezoid = np.gradient(grid)
     trapezoid[[0, -1]] *= 0.5
-    for w, mu, var in mix.components:
+    for w, mu, var in mix.components.tolist():
         if var == 0.0 and grid[0] <= mu <= grid[-1]:
             i = int(np.argmin(np.abs(grid - mu)))
             values[i] += w / trapezoid[i]
@@ -204,25 +203,20 @@ def full_sum_density(mix: GaussianMixture, grid: np.ndarray) -> np.ndarray:
 class TestGaussianMixture:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(InvalidArgs):
-            GaussianMixture((MixtureComponent(0.5, 0.0, 1.0),))
+            GaussianMixture(((0.5, 0.0, 1.0),))
 
     def test_negative_weight_rejected(self):
         for bad, rule in ((-0.5, ">= 0"), (math.inf, "finite"), (math.nan, "finite")):
             with pytest.raises(InvalidArgs, match=rule):
-                GaussianMixture(
-                    (
-                        MixtureComponent(1.5, 0.0, 1.0),
-                        MixtureComponent(bad, 1.0, 1.0),
-                    )
-                )
+                GaussianMixture(((1.5, 0.0, 1.0), (bad, 1.0, 1.0)))
 
     def test_negative_variance_rejected(self):
         for bad, rule in ((-1e-6, ">= 0"), (math.inf, "finite"), (math.nan, "finite")):
             with pytest.raises(InvalidArgs, match=rule):
-                GaussianMixture((MixtureComponent(1.0, 0.0, bad),))
+                GaussianMixture(((1.0, 0.0, bad),))
 
     def test_single_gaussian_curve_matches_formula(self):
-        mix = GaussianMixture((MixtureComponent(1.0, 0.5, 2.0),))
+        mix = GaussianMixture(((1.0, 0.5, 2.0),))
         grid = np.linspace(-10.0, 11.0, 2001)
         curve = mix.density_curve(grid)
         expect = np.exp(-((grid - 0.5) ** 2) / 4.0) / math.sqrt(4.0 * math.pi)
@@ -232,7 +226,7 @@ class TestGaussianMixture:
     def test_spike_deposition_is_mass_preserving(self):
         # Interior spike: trapezoid weight of an interior node on a uniform
         # grid of spacing 1 is exactly 1, so the node value equals the mass.
-        mix = GaussianMixture((MixtureComponent(1.0, 3.2, 0.0),))
+        mix = GaussianMixture(((1.0, 3.2, 0.0),))
         grid = np.linspace(0.0, 10.0, 11)
         curve = mix.density_curve(grid)
         assert curve.values[3] == pytest.approx(1.0, rel=1e-12)
@@ -240,7 +234,7 @@ class TestGaussianMixture:
         assert curve.integral() == pytest.approx(1.0, rel=1e-12)
 
     def test_edge_spike_keeps_unit_integral(self):
-        mix = GaussianMixture((MixtureComponent(1.0, 0.0, 0.0),))
+        mix = GaussianMixture(((1.0, 0.0, 0.0),))
         grid = np.linspace(0.0, 10.0, 11)
         curve = mix.density_curve(grid)
         # Edge trapezoid weight is half a spacing, so the node doubles.
@@ -262,12 +256,7 @@ class TestGaussianMixture:
         np.testing.assert_array_equal(mix.density_curve(grid).values, expect)
 
     def test_out_of_grid_spike_is_dropped(self):
-        mix = GaussianMixture(
-            (
-                MixtureComponent(0.5, -5.0, 0.0),
-                MixtureComponent(0.5, 2.0, 0.0),
-            )
-        )
+        mix = GaussianMixture(((0.5, -5.0, 0.0), (0.5, 2.0, 0.0)))
         grid = np.linspace(0.0, 4.0, 5)
         curve = mix.density_curve(grid)
         assert curve.integral() == pytest.approx(0.5, rel=1e-12)
@@ -319,12 +308,7 @@ class TestGaussianMixture:
             mix.density_curve(grid)
 
     def test_json_round_trip(self):
-        mix = GaussianMixture(
-            (
-                MixtureComponent(0.25, -1.0, 0.0),
-                MixtureComponent(0.75, 2.0, 3.0),
-            )
-        )
+        mix = GaussianMixture(((0.25, -1.0, 0.0), (0.75, 2.0, 3.0)))
         payload = mix.to_json_dict()
         assert payload == {
             "components": [
@@ -335,7 +319,22 @@ class TestGaussianMixture:
         again = GaussianMixture(
             [(c["w"], c["mu"], c["var"]) for c in payload["components"]]
         )
-        assert again == mix
+        assert np.array_equal(again.components, mix.components)
+
+    def test_one_read_only_table(self):
+        source = np.array([(0.25, -1.0, 0.0), (0.75, 2.0, 3.0)])
+        mix = GaussianMixture(source)
+        source[0, 0] = 0.5  # the mixture keeps its own copy
+        table = mix.components
+        assert table.shape == (2, 3) and table.dtype == np.float64
+        assert not table.flags.writeable
+        for column, values in enumerate((mix.w, mix.mu, mix.var)):
+            assert np.shares_memory(values, table)
+            assert not values.flags.writeable
+            np.testing.assert_array_equal(values, table[:, column])
+        np.testing.assert_array_equal(mix.w, [0.25, 0.75])
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.5
 
 
 # ----------------------------------------------------------------------------
@@ -390,14 +389,14 @@ class TestTfimMixture:
         mix = tfim_mixture_components(8, 0.2)
         assert len(mix.components) == 5  # even occupation numbers only
         e_avg = finite_e_avg(8, 0.2)
-        for comp, n in zip(mix.components, range(0, 9, 2)):
-            assert comp.w == pytest.approx(2 * math.comb(8, n) / 2**8, rel=1e-14)
-            assert comp.mu == pytest.approx((8 - 2 * n) * e_avg, rel=1e-13, abs=1e-13)
+        for w, mu, n in zip(mix.w, mix.mu, range(0, 9, 2)):
+            assert w == pytest.approx(2 * math.comb(8, n) / 2**8, rel=1e-14)
+            assert mu == pytest.approx((8 - 2 * n) * e_avg, rel=1e-13, abs=1e-13)
 
     def test_large_coupling_components(self):
         mix = tfim_mixture_components(8, 10.0)
         assert len(mix.components) == 9
-        assert [c.w for c in mix.components] == pytest.approx(
+        assert mix.w == pytest.approx(
             [math.comb(8, n) / 2**8 for n in range(9)], rel=1e-14
         )
 
@@ -427,7 +426,7 @@ class TestTfimMixture:
         N, lam = 8, 10.0
         energies = enumerate_spectrum(N, lam).energies
         mix = tfim_mixture_components(N, lam)
-        means = np.array([c.mu for c in mix.components])
+        means = mix.mu
         clusters = cluster_by_nearest(energies, means)
         # The mean sign convention mirrors occupation n -> N - n, so compare
         # against the reversed binomial row (which is symmetric anyway).
@@ -505,7 +504,7 @@ class TestStrongFieldMoments:
         N, lam, alpha = 10, 8.0, 0.5
         energies = dense_energies(N, lam, alpha)
         mix = strong_field_components(N, lam, alpha)
-        means = np.array([c.mu for c in mix.components])
+        means = mix.mu
         clusters = cluster_by_nearest(energies, means)
         assert [len(c) for c in clusters] == [math.comb(N, n) for n in range(N + 1)]
         for n in (3, 5):
@@ -800,13 +799,13 @@ class TestSmallLambdaMixture:
             census = degeneracy_census(N, 1)
             Rs = sorted(census.classes)
             assert len(mix.components) == len(Rs)
-            for comp, R in zip(mix.components, Rs):
-                assert comp.w == pytest.approx(census.classes[R] / 2**N, rel=1e-14)
-                assert comp.mu == pytest.approx(
+            for w, mu, var, R in zip(mix.w, mix.mu, mix.var, Rs):
+                assert w == pytest.approx(census.classes[R] / 2**N, rel=1e-14)
+                assert mu == pytest.approx(
                     small_lambda_ER(N, lam, R) + small_lambda_deltaE_R(N, lam, R),
                     rel=1e-12,
                 )
-                assert comp.var == pytest.approx(
+                assert var == pytest.approx(
                     small_lambda_sigmaR(N, lam, R) ** 2, rel=1e-12, abs=1e-300
                 )
 
@@ -965,7 +964,7 @@ class TestSmallLambdaMixture:
         census = degeneracy_census(N, 1)
         Rs = sorted(census.classes)
         mix = small_lambda_components(N, lam)
-        means = np.array([c.mu for c in mix.components])
+        means = mix.mu
         clusters = cluster_by_nearest(dense_energies(N, lam, 1.0), means)
         assert [len(c) for c in clusters] == [census.classes[R] for R in Rs]
         tol = max(5 * lam**4 * N, 1e-3)
@@ -988,13 +987,13 @@ class TestGenericAlphaMixture:
     def test_component_layout(self):
         N, lam, alpha = 10, 0.3, 0.9
         mix = generic_alpha_components(N, lam, alpha)
-        by_mean = {round(c.mu, 9): c for c in mix.components}
+        by_mean = {round(mu, 9): w for w, mu in zip(mix.w.tolist(), mix.mu.tolist())}
         total = 0.0
         for n, k in cells(N):
             mu = alpha * (N - 2 * n) + 4 * k - N
-            comp = by_mean[round(mu, 9)]
-            assert comp.w == pytest.approx(_f_count(N, n, k) / 2**N, rel=1e-14)
-            total += comp.w
+            w = by_mean[round(mu, 9)]
+            assert w == pytest.approx(_f_count(N, n, k) / 2**N, rel=1e-14)
+            total += w
         assert total == pytest.approx(1.0, rel=1e-12)
 
     def test_polarized_spikes_present(self):
@@ -1004,21 +1003,21 @@ class TestGenericAlphaMixture:
         N, lam, alpha = 10, 0.3, 0.9
         mix = generic_alpha_components(N, lam, alpha)
         for mu in (N * (alpha - 1), -N * (alpha + 1)):
-            matches = [c for c in mix.components if abs(c.mu - mu) < 1e-9]
+            matches = np.flatnonzero(np.abs(mix.mu - mu) < 1e-9)
             assert len(matches) == 1
-            assert matches[0].var == 0.0
-            assert matches[0].w == pytest.approx(2.0**-N, rel=1e-14)
+            assert mix.var[matches[0]] == 0.0
+            assert mix.w[matches[0]] == pytest.approx(2.0**-N, rel=1e-14)
 
     def test_large_cell_variance_formula(self):
         N, lam, alpha = 10, 0.3, 0.9
         mix = generic_alpha_components(N, lam, alpha)
         n, k = 4, 2
         mu = alpha * (N - 2 * n) + 4 * k - N
-        comp = next(c for c in mix.components if abs(c.mu - mu) < 1e-9)
+        i = np.flatnonzero(np.abs(mix.mu - mu) < 1e-9)[0]
         expect = (
             2 * lam**4 / (alpha**2 + lam**2) ** 2 * k**2 * (N - 2 * k) / (n * (N - n))
         )
-        assert comp.var == pytest.approx(expect, rel=1e-12)
+        assert mix.var[i] == pytest.approx(expect, rel=1e-12)
 
     def test_exact_variance_equals_transition_count_ratio(self):
         # The closed form 2k(k-1)(N-2k)/((n-1)(N-n-1)) is the exact ratio
@@ -1096,6 +1095,17 @@ class TestXXProjection:
 
 
 @pytest.mark.parametrize("formula,what,lam,alpha", [
+    (lambda: small_lambda_deltaE(6, 2, 4, 1, 1e200, 0.1), "the second-order cell shift",
+     0.1, 1e200),
+    (lambda: small_lambda_deltaE(6, 2, 4, 1, 1.0, 1e200), "the second-order cell shift",
+     1e200, 1.0),
+    (lambda: small_lambda_deltaE(6, 2, 4, 1, 1e-200, 1e-200),
+     "the second-order cell shift", 1e-200, 1e-200),
+    (lambda: xx_projection_check(8, 1e200, 1.0, 3), "the XX projection block",
+     1e200, 1.0),
+    # A finite root whose block entries overflow in Tr(H^2).
+    (lambda: xx_projection_check(8, 1e154, 1.0, 3), "the XX projection block",
+     1e154, 1.0),
     (lambda: _tfim_moments(8, 1e300, np.array([3])), "a transverse-field cluster moment",
      1e300, 0.0),
     (lambda: strong_field_components(8, 1e100, 1.0), "a strong-field cluster moment",
@@ -1114,6 +1124,33 @@ def test_formulas_beyond_float_range_name_the_couplings(formula, what, lam, alph
     with pytest.raises(InvalidArgs) as info:
         formula()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("lam,alpha", [
+    (0.1, math.inf), (0.1, -math.inf), (0.1, math.nan), (math.inf, 1.0), (math.nan, 1.0),
+])
+@pytest.mark.parametrize("formula", [
+    lambda lam, alpha: small_lambda_deltaE(6, 2, 4, 1, alpha, lam),
+    lambda lam, alpha: xx_projection_check(8, lam, alpha, 3),
+], ids=["cell-shift", "xx-projection"])
+def test_non_finite_couplings_are_refused(formula, lam, alpha):
+    with pytest.raises(InvalidArgs, match="^lambda and alpha must be finite, got "):
+        formula(lam, alpha)
+
+
+class _Walked(Exception):
+    """Raised in place of the cell walk, once the caps before it have passed."""
+
+
+def test_generic_mixture_counts_its_components_before_the_walk(monkeypatch):
+    def walk(N):
+        raise _Walked(N)
+
+    monkeypatch.setattr("ising_density.peaks.cells", walk)
+    with pytest.raises(_Walked):
+        generic_alpha_components(1100, 0.15, 0.5)
+    with pytest.raises(CapExceeded, match="^a mixture of 4410002 components at N = 4200 "):
+        generic_alpha_components(4200, 0.15, 0.5)
 
 
 # ----------------------------------------------------------------------------
