@@ -31,9 +31,12 @@ n-1 (or n-2) into k-1 parts, so N1 = k comp(n-1, k-1) and
 N2 = k comp(n-2, k-1), with comp(0, 0) = 1 covering k = 1.
 
 Every walk over the cells of a ring (both censuses and the two small-lambda
-mixtures) starts from :func:`cells`, which refuses a ring whose
-2 + floor(N^2/4) cells and their exact counts would pass the package's one
-memory cap (``errors.DEFAULT_MAX_BYTES``) before it builds any.
+mixtures) reads the (n, k, f(n, k)) triples of :func:`cells`, which computes
+each count once as an exact Python int.  It refuses a ring whose
+2 + floor(N^2/4) cells and their counts would pass the package's one memory
+cap (``errors.DEFAULT_MAX_BYTES``) before it builds any.  Ring sizes and
+cell labels given as numpy integers are taken as Python ints first, so no
+count wraps in int64.
 """
 
 from __future__ import annotations
@@ -66,50 +69,57 @@ def _require_transition_ring(N: int) -> None:
         raise InvalidArgs(f"transition counts need a ring of N >= 3, got N={N}")
 
 
-def cells(N: int) -> list[tuple[int, int]]:
-    """All valid (n, k) cells of a length-N ring, polarized ones first."""
-    require_ring(N)
-    # A cell and its count f(n, k) take 96 + N // 10 bytes (tracemalloc: 198
+def cells(N: int) -> list[tuple[int, int, int]]:
+    """All valid cells of a length-N ring as (n, k, f(n, k)) triples, the two
+    polarized ones first."""
+    N = require_ring(N)
+    # A cell and its count f(n, k) take 96 + N // 10 bytes (tracemalloc: 197
     # per cell at N = 1024, 298 at N = 2048).
     count = 2 + N * N // 4
     check_cap(f"walking the {count} cells at N = {N}", count * (96 + N // 10))
-    out = [(0, 0), (N, 0)]
+    out = [(0, 0, 1), (N, 0, 1)]
     for n in range(1, N):
-        out.extend((n, k) for k in range(1, min(n, N - n) + 1))
+        out.extend((n, k, _f_count(N, n, k)) for k in range(1, min(n, N - n) + 1))
     return out
 
 
 def _f_count(N: int, n: int, k: int) -> int:
-    """Number f(n, k) of cyclic strings in a valid cell (n, k)."""
-    if k == 0:
-        return 1
+    """Number f(n, k) of cyclic strings in an interior cell (n, k), k >= 1."""
     numerator = N * _comp(n, k) * _comp(N - n, k)
     assert numerator % k == 0
     return numerator // k
 
 
-def count_N1(n: int, k: int) -> int:
-    """Total number of length-1 parts over all compositions of n into k parts."""
+def _require_composition(n: int, k: int) -> tuple[int, int]:
+    """(n, k) as Python ints, refused unless 1 <= k <= n."""
+    n = require_integer("up-spin count", "n", n)
+    k = require_integer("block count", "k", k)
     if k < 1 or n < k:
         raise InvalidArgs(f"compositions need 1 <= k <= n, got n={n}, k={k}")
+    return n, k
+
+
+def count_N1(n: int, k: int) -> int:
+    """Total number of length-1 parts over all compositions of n into k parts."""
+    n, k = _require_composition(n, k)
     return k * _comp(n - 1, k - 1)
 
 
 def count_N2(n: int, k: int) -> int:
     """Total number of length-2 parts over all compositions of n into k parts."""
-    if k < 1 or n < k:
-        raise InvalidArgs(f"compositions need 1 <= k <= n, got n={n}, k={k}")
+    n, k = _require_composition(n, k)
     return k * _comp(n - 2, k - 1)
 
 
-def _require_partition(N: int, n: int, m: int, k: int) -> None:
-    """Refuse (n, m, k) unless m = N - n and (n, k) is a cell of the ring N."""
-    require_integer("up-spin count", "n", n)
-    require_integer("down-spin count", "m", m)
-    require_integer("block count", "k", k)
+def _require_partition(N: int, n: int, m: int, k: int) -> tuple[int, int, int, int]:
+    """(N, n, m, k) as Python ints, refused unless m = N - n and (n, k) is a
+    cell of the ring N."""
+    n = require_integer("up-spin count", "n", n)
+    m = require_integer("down-spin count", "m", m)
+    k = require_integer("block count", "k", k)
     if m != N - n:
         raise InvalidArgs(f"m must equal N - n, got N={N}, n={n}, m={m}")
-    require_ring(N)
+    N = require_ring(N)
     if not 0 <= n <= N:
         raise InvalidArgs(f"up-spin count must satisfy 0 <= n <= N, got n={n}")
     if k == 0:
@@ -120,25 +130,26 @@ def _require_partition(N: int, n: int, m: int, k: int) -> None:
             f"block count must satisfy 1 <= k <= min(n, N-n) = "
             f"{min(n, N - n)}, got k={k}"
         )
+    return N, n, m, k
 
 
 def count_Na(N: int, n: int, m: int, k: int) -> int:
     """E0-conserving flips of a whole 2-up-block: (n, k) -> (n-2, k-1)."""
-    _require_partition(N, n, m, k)
+    N, n, m, k = _require_partition(N, n, m, k)
     _require_transition_ring(N)
     return _count_Na(N, n, m, k)
 
 
 def count_Nb(N: int, n: int, m: int, k: int) -> int:
     """E0-conserving flips of an interior down-pair: (n, k) -> (n+2, k+1)."""
-    _require_partition(N, n, m, k)
+    N, n, m, k = _require_partition(N, n, m, k)
     _require_transition_ring(N)
     return _count_Nb(N, n, m, k)
 
 
 def count_Nc(N: int, n: int, m: int, k: int) -> int:
     """E0-conserving flips of an up-down boundary pair: (n, k) -> (n, k)."""
-    _require_partition(N, n, m, k)
+    N, n, m, k = _require_partition(N, n, m, k)
     _require_transition_ring(N)
     return _count_Nc(N, n, m, k)
 
@@ -171,7 +182,8 @@ class BlockCensus:
 
 
 def block_census(N: int) -> BlockCensus:
-    table = {(n, k): _f_count(N, n, k) for n, k in cells(N)[2:]}
+    N = require_ring(N)
+    table = {(n, k): f for n, k, f in cells(N)[2:]}
     return BlockCensus(N=N, table=table, polarized={(0, 0): 1, (N, 0): 1})
 
 
@@ -207,12 +219,13 @@ def degeneracy_census(N: int, alpha: object) -> DegeneracyCensus:
     Classes are labeled by the integer R = 2qk - pn (alpha = p/q in lowest
     terms), with E0(R) = N (alpha - 1) + 2R/q.
     """
+    N = require_ring(N)
     frac = _as_fraction(alpha)
     p, q = frac.numerator, frac.denominator
     classes: dict[int, int] = {}
-    for n, k in cells(N):
+    for n, k, f in cells(N):
         R = 2 * q * k - p * n
-        classes[R] = classes.get(R, 0) + _f_count(N, n, k)
+        classes[R] = classes.get(R, 0) + f
     assert sum(classes.values()) == 2**N
     ordered = dict(sorted(classes.items()))
     energy_of = {R: N * (frac - 1) + Fraction(2 * R, q) for R in ordered}
@@ -237,7 +250,7 @@ def brute_force_census(N: int) -> BruteForceCensus:
     Independent of the closed-form counts: block structure is read off each
     string via bit operations, transitions by flipping each adjacent pair.
     """
-    require_ring(N)
+    N = require_ring(N)
     if N > BRUTE_FORCE_MAX_SITES:
         raise CapExceeded(
             f"brute-force census scans 2^N strings; N={N} > {BRUTE_FORCE_MAX_SITES}"
@@ -245,20 +258,15 @@ def brute_force_census(N: int) -> BruteForceCensus:
     size = 1 << N
     mask = size - 1
     b = np.arange(size, dtype=np.int64)
-
-    def popcount(x: np.ndarray) -> np.ndarray:
-        total = np.zeros_like(x)
-        for i in range(N):
-            total += (x >> i) & 1
-        return total
-
     left = ((b << 1) | (b >> (N - 1))) & mask  # bit i = original bit i-1
     right = ((b >> 1) | ((b & 1) << (N - 1))) & mask  # bit i = original bit i+1
     right2 = ((b >> 2) | ((b & 3) << (N - 2))) & mask  # bit i = original bit i+2
-    n_of = popcount(b)
-    k_of = popcount(b & ~left & mask)
-    unit_of = popcount(b & ~left & ~right & mask)
-    double_of = popcount(b & ~left & right & ~right2 & mask)
+    # Up-spins, block starts, length-1 and length-2 blocks of each string;
+    # bitwise_count gives uint8, which wraps in arithmetic with Python ints.
+    starts = b & ~left & mask
+    n_of, k_of, unit_of, double_of = np.bitwise_count(
+        np.stack((b, starts, starts & ~right, starts & right & ~right2))
+    ).astype(np.int64)
 
     n_cells = (N + 1) * (N + 2)
     cell_id = n_of * (N + 2) + k_of

@@ -151,7 +151,8 @@ def _write_json(path: str, payload: dict) -> None:
     from .table import open_text
 
     with open_text(path, "w") as handle:
-        handle.write(json.dumps(payload, indent=2) + "\n")
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
 
 
 # ----------------------------------------------------------------------------

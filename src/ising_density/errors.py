@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import operator
 from typing import Callable, Iterator
 
 DEFAULT_MAX_BYTES = 4 * 1024**3
@@ -42,19 +43,22 @@ class InvalidArgs(IsingError):
     """Arguments violate an operation's preconditions."""
 
 
-def require_integer(what: str, name: str, value: object) -> None:
-    """Refuse a ``value`` that is not an int or numpy integer (bool is not)."""
+def require_integer(what: str, name: str, value: object) -> int:
+    """``value`` as a Python int, so exact formulas never run in int64; refuse
+    a value that is not an int or numpy integer (bool is not)."""
     from numbers import Integral  # numpy loads it; ``--help`` loads neither
 
     if not isinstance(value, Integral) or isinstance(value, bool):
         raise InvalidArgs(f"{what} must be an integer, got {name}={value!r}")
+    return operator.index(value)
 
 
-def require_ring(N: object) -> None:
-    """Refuse a ring size that is not an integer >= 2."""
-    require_integer("ring size", "N", N)
+def require_ring(N: object) -> int:
+    """``N`` as a Python int, refused unless it is an integer >= 2."""
+    N = require_integer("ring size", "N", N)
     if N < 2:
         raise InvalidArgs(f"ring size must be >= 2, got N={N}")
+    return N
 
 
 def require_finite_couplings(lam: float, alpha: float) -> None:

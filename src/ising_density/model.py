@@ -47,8 +47,7 @@ class IsingParams:
     model: str = "tfim"
 
     def __post_init__(self) -> None:
-        require_ring(self.N)
-        object.__setattr__(self, "N", int(self.N))
+        object.__setattr__(self, "N", require_ring(self.N))
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "alpha", float(self.alpha))
         require_finite_couplings(self.lam, self.alpha)
@@ -116,9 +115,7 @@ def build_hamiltonian(params: IsingParams) -> np.ndarray:
     dim = 1 << N
     check_cap(f"dense Hamiltonian for N={N}", dim * dim * 8)
     b = np.arange(dim)
-    popcount = np.zeros(dim, dtype=np.int64)
-    for n in range(N):
-        popcount += (b >> n) & 1
+    popcount = np.bitwise_count(b).astype(np.int64)  # uint8 wraps in N - 2 popcount
     H = np.zeros((dim, dim))
     # sigma^z_n = +1 for bit 0, so sum_n sigma^z_n = N - 2 popcount(b).
     H[b, b] = -params.lam * (N - 2 * popcount)
@@ -197,7 +194,7 @@ def exact_spectrum(params: IsingParams) -> ManyBodySpectrum:
     dst = np.searchsorted(reps, rep[flipped])
     weight = np.tile(amps, len(reps)) * np.sqrt(R[src] / R[dst])
     angle = 2.0 * np.pi / N * (shift[flipped] + 0.5 * (turn[src] - turn[dst]))
-    popcount = sum((reps >> n) & 1 for n in range(N))
+    popcount = np.bitwise_count(reps).astype(np.int64)
     diagonal = -lam * (N - 2 * popcount)
     momenta = [(k * R) % N == 0 for k in range(N // 2 + 1)]
     largest = max(int(keep.sum()) for keep in momenta)

@@ -68,7 +68,7 @@ XX_PROJECTION_MAX_SITES = 12
 
 _WEIGHT_TOL = 1e-12
 _WINDOW_SIGMAS = 40.0  # exp(-40^2 / 2) underflows to 0.0
-_COMPONENT_BYTES = 1088  # tracemalloc, with sidecar: 1054, 1051 B at N = 4000, 8000
+_COMPONENT_BYTES = 1088  # tracemalloc, with sidecar: 483, 867 B at N = 4000, 8000
 
 
 # ----------------------------------------------------------------------------
@@ -202,8 +202,7 @@ def _check_components(N: int, count: int) -> None:
 
 
 def _occupations(N: int, step: int = 1) -> np.ndarray:
-    """n = 0, step, ..., N, once the ring and its N + 1 components pass the caps."""
-    require_ring(N)
+    """n = 0, step, ..., N, once the N + 1 components pass the cap."""
     _check_components(N, N + 1)
     return np.arange(0, N + 1, step)
 
@@ -222,7 +221,7 @@ def tfim_mixture_components(N: int, lam: float) -> GaussianMixture:
     weight ``C(N, n) / 2^(N-1)``.  (The boundary coupling is rendered with
     the all-occupation branch.)
     """
-    lam = float(lam)
+    lam, N = float(lam), require_ring(N)
     step = 1 if abs(lam) >= 1.0 else 2
     n = _occupations(N, step)
     mean, var = _tfim_moments(N, lam, n)
@@ -303,6 +302,7 @@ def strong_field_components(N: int, lam: float, alpha: float) -> GaussianMixture
     ``r (N - 2n)`` plus the first-order bond average at fixed alignment, its
     variance the transverse hopping contribution, which dominates the width.
     """
+    N = require_ring(N)
     n = _occupations(N)
     mean, var = _strong_field_moments(N, float(lam), float(alpha), n)
     w = _ratio([math.comb(N, j) for j in n.tolist()], 2**N)
@@ -333,9 +333,8 @@ def _unit_alpha_classes(N: int) -> _ClassTable:
     value is a formula of ratios of them, each one int/int division.
     """
     sums: dict[int, list[int]] = defaultdict(lambda: [0] * 6)
-    for n, k in cells(N):
+    for n, k, f in cells(N):
         m, R = N - n, 2 * k - n
-        f = _f_count(N, n, k)
         row = sums[R]
         row[0] += f
         row[2] += _count_Na(N, n, m, k) + _count_Nb(N, n, m, k) + _count_Nc(N, n, m, k)
@@ -361,6 +360,7 @@ def _ratio(numerators, denominators) -> np.ndarray:
 
 
 def _class_value(values_of: Callable, N: int, lam: float, R: int) -> float:
+    N = require_ring(N)
     table = _unit_alpha_classes(N)
     if R not in table.row:
         raise UnknownClass(f"R = {R} labels no degeneracy class at N = {N}")
@@ -435,7 +435,7 @@ def small_lambda_deltaE(
     perturbation sum shows.  The longitudinal fields ``alpha = +/-2`` make a
     denominator vanish and are rejected.
     """
-    _require_partition(N, n, m, k)
+    N, n, m, k = _require_partition(N, n, m, k)
     if k == 0:
         raise InvalidArgs(
             f"(n, k) = ({n}, {k}) is not an interior cell of the ring N = {N}"
@@ -482,7 +482,7 @@ def small_lambda_components(N: int, lam: float) -> GaussianMixture:
     Components are ordered by ascending R; centers carry the second-order
     shift, which vanishes at lambda = 0.
     """
-    lam = float(lam)
+    lam, N = float(lam), require_ring(N)
     table = _unit_alpha_classes(N)
     mu = _class_centers(table, N, lam) + _class_shifts(table, N, lam)
     sigma = _class_widths(table, N, lam)
@@ -508,13 +508,12 @@ def generic_alpha_components(N: int, lam: float, alpha: float) -> GaussianMixtur
     _combined_field(lam, alpha)  # refuses lambda = alpha = 0
     with float_range("the cell width coupling", lam, alpha):
         coupling = lam**4 / (alpha**2 + lam**2) ** 2
-    require_ring(N)
+    N = require_ring(N)
     _check_components(N, 2 + N * N // 4)  # one per cell, checked before the walk
-    pairs = cells(N)  # the two polarized cells first: spikes
-    n, k = np.array(pairs).T
-    counts = [_f_count(N, a, b) for a, b in pairs]
+    n, k, counts = zip(*cells(N))  # the two polarized cells first: spikes
+    n, k = np.array(n), np.array(k)
     mu = alpha * (N - 2 * n) + 4 * k - N
-    var = np.zeros(len(pairs))
+    var = np.zeros(len(counts))
     n, k = n[2:], k[2:]  # interior cells only
     var[2:] = 2.0 * coupling * k * k * (N - 2 * k) / (n * (N - n))
     return GaussianMixture(np.column_stack((_ratio(counts, 2**N), mu, var)))
@@ -535,12 +534,12 @@ def xx_projection_check(N: int, lam: float, alpha: float, n: int) -> XXProjectio
     moments (computed from traces of the explicit matrix) next to the closed
     forms used by :func:`strong_field_components`.
     """
-    require_ring(N)
+    N = require_ring(N)
     if N > XX_PROJECTION_MAX_SITES:
         raise CapExceeded(
             f"xx projection check caps at N = {XX_PROJECTION_MAX_SITES}, got {N}"
         )
-    require_integer("occupation", "n", n)
+    n = require_integer("occupation", "n", n)
     if n < 0 or n > N:
         raise InvalidArgs(f"occupation n must satisfy 0 <= n <= N, got n={n}, N={N}")
     lam, alpha = float(lam), float(alpha)
@@ -548,7 +547,7 @@ def xx_projection_check(N: int, lam: float, alpha: float, n: int) -> XXProjectio
     with float_range("the XX projection block", lam, alpha) as finite:
         root = finite(_combined_field(lam, alpha))
         cos2 = finite(lam * lam / (lam * lam + alpha * alpha))
-        states = [b for b in range(1 << N) if bin(b).count("1") == n]
+        states = [b for b in range(1 << N) if b.bit_count() == n]
         index = {b: i for i, b in enumerate(states)}
         dim = len(states)
         H = np.zeros((dim, dim))

@@ -105,8 +105,6 @@ def test_f_count_examples() -> None:
     assert _f_count(4, 2, 1) == 4
     assert _f_count(4, 2, 2) == 2
     assert sum(_f_count(6, 3, k) for k in (1, 2, 3)) == 20
-    assert _f_count(9, 0, 0) == 1
-    assert _f_count(9, 9, 0) == 1
 
 
 def test_count_Na_validates_its_cell() -> None:

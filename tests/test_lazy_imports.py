@@ -1,9 +1,10 @@
 """Tests that each subcommand imports only the modules it runs, that the
 package and CLI names resolve lazily to their home modules, that every public
-name has a caller outside the unit tests and every private name a user in the
-package or the benchmark, that the benchmark tracer can still replace the
-names the commands call, and that the CLI's bound on OpenBLAS's idle spin is
-set before numpy loads and moves no output byte."""
+name and public class member has a caller outside the unit tests and every
+private name a user in the package or the benchmark, that the benchmark
+tracer can still replace the names the commands call, and that the CLI's
+bound on OpenBLAS's idle spin is set before numpy loads and moves no output
+byte."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 from click.testing import CliRunner
@@ -274,6 +276,20 @@ def _references(tree: ast.AST, skip: str | None = None) -> set[str]:
     return found - {skip}
 
 
+def _public_class_members() -> dict[str, str]:
+    """``Class.member`` to ``member`` for the methods, classmethods,
+    staticmethods and properties each public class defines itself."""
+    kinds = (FunctionType, classmethod, staticmethod, property)
+    members = {}
+    for name in ising_density.__all__:
+        value = getattr(ising_density, name)
+        if isinstance(value, type):
+            for attr, member in vars(value).items():
+                if not attr.startswith("_") and isinstance(member, kinds):
+                    members[f"{name}.{attr}"] = attr
+    return members
+
+
 def test_every_public_name_has_a_caller_outside_the_unit_tests():
     sources = [
         *(p for p in (ROOT / "src" / "ising_density").glob("*.py")
@@ -284,7 +300,8 @@ def test_every_public_name_has_a_caller_outside_the_unit_tests():
     used: set[str] = set()
     for path in sources:
         used |= _references(ast.parse(path.read_text(encoding="utf-8")))
-    assert sorted(set(ising_density._HOMES) - used) == []
+    public = {name: name for name in ising_density._HOMES} | _public_class_members()
+    assert sorted(label for label, name in public.items() if name not in used) == []
 
 
 def _private_definitions(tree: ast.Module) -> set[str]:

@@ -33,8 +33,11 @@ from ising_density.blocks import (
     _count_Nb,
     _count_Nc,
     _f_count,
+    block_census,
     brute_force_census,
     cells,
+    count_N1,
+    count_N2,
     count_Na,
     count_Nb,
     count_Nc,
@@ -546,10 +549,9 @@ def er_weighted_average_oracle(N: int, lam: float, R: int) -> float:
     root = math.sqrt(1 + lam * lam)
     total = 0.0
     weight = 0
-    for n, k in cells(N):
+    for n, k, f in cells(N):
         if 2 * k - n != R:
             continue
-        f = _f_count(N, n, k)
         cell_energy = root * (N - 2 * n) - (N - 4 * k) / (1 + lam * lam)
         total += f * cell_energy
         weight += f
@@ -689,7 +691,7 @@ class TestSmallLambdaDeltaER:
         census = degeneracy_census(N, 1)
         oracle = sum(
             pt2_cell_shift(N, n, k, 1, lam)
-            for n, k in cells(N)[2:]
+            for n, k, _ in cells(N)[2:]
             if 2 * k - n == R
         ) / census.classes[R]
         assert abs(small_lambda_deltaE_R(N, lam, R) - oracle) < 5 * lam**4
@@ -835,7 +837,7 @@ class TestSmallLambdaMixture:
         lam = 0.2
         root = math.sqrt(1.0 + lam * lam)
         for R, N_R in degeneracy_census(N, 1).classes.items():
-            members = [(n, k) for n, k in cells(N) if 2 * k - n == R]
+            members = [(n, k) for n, k, _ in cells(N) if 2 * k - n == R]
             interior = [(n, k) for n, k in members if k > 0]
             S = sum(
                 math.comb(n - 1, k - 1) * math.comb(N - n - 1, k - 1) for n, k in interior
@@ -861,9 +863,8 @@ class TestSmallLambdaMixture:
         public = (count_Na, count_Nb, count_Nc)
         counts = public if N > 2 else (_count_Na, _count_Nb, _count_Nc)
         sums = {}
-        for n, k in cells(N):
+        for n, k, f in cells(N):
             m, R = N - n, 2 * k - n
-            f = _f_count(N, n, k)
             entry = sums.setdefault(R, [0] * 6)
             entry[0] += f
             entry[2] += sum(count(N, n, m, k) for count in counts)
@@ -989,10 +990,10 @@ class TestGenericAlphaMixture:
         mix = generic_alpha_components(N, lam, alpha)
         by_mean = {round(mu, 9): w for w, mu in zip(mix.w.tolist(), mix.mu.tolist())}
         total = 0.0
-        for n, k in cells(N):
+        for n, k, f in cells(N):
             mu = alpha * (N - 2 * n) + 4 * k - N
             w = by_mean[round(mu, 9)]
-            assert w == pytest.approx(_f_count(N, n, k) / 2**N, rel=1e-14)
+            assert w == pytest.approx(f / 2**N, rel=1e-14)
             total += w
         assert total == pytest.approx(1.0, rel=1e-12)
 
@@ -1024,7 +1025,7 @@ class TestGenericAlphaMixture:
         # N_c/f on interior cells; the single-block column where the closed
         # form degenerates to 0/0 evaluates to 2.
         N = 8
-        for n, k in cells(N)[2:]:
+        for n, k, _ in cells(N)[2:]:
             ratio = Fraction(count_Nc(N, n, N - n, k), _f_count(N, n, k))
             if n == 1 or n == N - 1:
                 assert ratio == 2
@@ -1174,3 +1175,41 @@ def test_generic_mixture_counts_its_components_before_the_walk(monkeypatch):
 def test_builders_keep_one_ring_size_rule(build, N, rule):
     with pytest.raises(InvalidArgs, match=f"^ring size {re.escape(rule)}$"):
         build(N)
+
+
+# Ring sizes and cell labels given as numpy integers are taken as Python ints
+# before any arithmetic: in int64, 2**N wraps to 0 at N = 70 and the exact
+# counts overflow.
+@pytest.mark.parametrize("call", [
+    lambda N: count_Na(N, N // 2, N - N // 2, N // 4),
+    lambda N: count_Nb(N, N // 2, N - N // 2, N // 4),
+    lambda N: count_Nc(N, N // 2, N - N // 2, N // 4),
+    lambda N: count_N1(N // 2, N // 4),
+    lambda N: count_N2(N // 2, N // 4),
+    lambda N: block_census(N),
+    lambda N: degeneracy_census(N, Fraction(9, 10)),
+    lambda N: tfim_mixture_components(N, 0.5),
+    lambda N: strong_field_components(N, 2.0, 1.0),
+    lambda N: small_lambda_components(N, 0.2),
+    lambda N: small_lambda_ER(N, 0.2, 0),
+    lambda N: small_lambda_deltaE_R(N, 0.2, 0),
+    lambda N: small_lambda_sigmaR(N, 0.2, 0),
+    lambda N: small_lambda_deltaE(N, N // 2, N - N // 2, N // 4, 0.5, 0.2),
+    lambda N: generic_alpha_components(N, 0.15, 0.5),
+], ids=[
+    "Na", "Nb", "Nc", "N1", "N2", "block-census", "degeneracy-census", "tfim",
+    "strong", "int-alpha", "ER", "deltaE_R", "sigmaR", "deltaE", "generic",
+])
+def test_numpy_integers_give_the_python_int_result(call):
+    def fingerprint(result):
+        if isinstance(result, GaussianMixture):
+            return result.components.tobytes()
+        return repr(result)  # a numpy N left in a field shows as np.int64(70)
+
+    assert fingerprint(call(np.int64(70))) == fingerprint(call(70))
+
+
+def test_cells_caps_a_numpy_ring_size_before_the_walk():
+    # 2 + N^2 // 4 in int64 wraps to 2 at N = 2^32.
+    with pytest.raises(CapExceeded, match="^walking the 4611686018427387906 cells "):
+        cells(np.int64(2**32))
