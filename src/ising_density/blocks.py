@@ -73,14 +73,19 @@ def cells(N: int) -> list[tuple[int, int, int]]:
     """All valid cells of a length-N ring as (n, k, f(n, k)) triples, the two
     polarized ones first."""
     N = require_ring(N)
-    # A cell and its count f(n, k) take 96 + N // 10 bytes (tracemalloc: 197
-    # per cell at N = 1024, 298 at N = 2048).
-    count = 2 + N * N // 4
-    check_cap(f"walking the {count} cells at N = {N}", count * (96 + N // 10))
+    count, each = _cell_cost(N)
+    check_cap(f"walking the {count} cells at N = {N}", count * each)
     out = [(0, 0, 1), (N, 0, 1)]
     for n in range(1, N):
         out.extend((n, k, _f_count(N, n, k)) for k in range(1, min(n, N - n) + 1))
     return out
+
+
+def _cell_cost(N: int) -> tuple[int, int]:
+    """The number of cells of the ring N and the bytes a cell and its count
+    f(n, k) take: 96 + N // 10 (tracemalloc: 197 per cell at N = 1024, 298
+    at N = 2048)."""
+    return 2 + N * N // 4, 96 + N // 10
 
 
 def _f_count(N: int, n: int, k: int) -> int:
@@ -133,42 +138,35 @@ def _require_partition(N: int, n: int, m: int, k: int) -> tuple[int, int, int, i
     return N, n, m, k
 
 
-def count_Na(N: int, n: int, m: int, k: int) -> int:
-    """E0-conserving flips of a whole 2-up-block: (n, k) -> (n-2, k-1)."""
+def _checked_transitions(N: int, n: int, m: int, k: int) -> tuple[int, int, int]:
     N, n, m, k = _require_partition(N, n, m, k)
     _require_transition_ring(N)
-    return _count_Na(N, n, m, k)
+    return _transitions(N, n, m, k)
+
+
+def count_Na(N: int, n: int, m: int, k: int) -> int:
+    """E0-conserving flips of a whole 2-up-block: (n, k) -> (n-2, k-1)."""
+    return _checked_transitions(N, n, m, k)[0]
 
 
 def count_Nb(N: int, n: int, m: int, k: int) -> int:
     """E0-conserving flips of an interior down-pair: (n, k) -> (n+2, k+1)."""
-    N, n, m, k = _require_partition(N, n, m, k)
-    _require_transition_ring(N)
-    return _count_Nb(N, n, m, k)
+    return _checked_transitions(N, n, m, k)[1]
 
 
 def count_Nc(N: int, n: int, m: int, k: int) -> int:
     """E0-conserving flips of an up-down boundary pair: (n, k) -> (n, k)."""
-    N, n, m, k = _require_partition(N, n, m, k)
-    _require_transition_ring(N)
-    return _count_Nc(N, n, m, k)
+    return _checked_transitions(N, n, m, k)[2]
 
 
-# The unvalidated formulas behind the counts, for callers that walk cells(N).
-
-
-def _count_Na(N: int, n: int, m: int, k: int) -> int:
-    return N * _comp(n - 2, k - 1) * _comp(m, k)
-
-
-def _count_Nb(N: int, n: int, m: int, k: int) -> int:
-    return N * _comp(n, k) * _comp(m - 2, k + 1)
-
-
-def _count_Nc(N: int, n: int, m: int, k: int) -> int:
+def _transitions(N: int, n: int, m: int, k: int) -> tuple[int, int, int]:
+    """(N_a, N_b, N_c) of a cell, unvalidated, for callers that walk cells(N)."""
     # A(x) = comp(x - 1, k), B(x) = comp(x - 1, k - 1)
-    return 2 * N * (
-        _comp(n - 1, k) * _comp(m - 1, k - 1) + _comp(n - 1, k - 1) * _comp(m - 1, k)
+    return (
+        N * _comp(n - 2, k - 1) * _comp(m, k),
+        N * _comp(n, k) * _comp(m - 2, k + 1),
+        2 * N * (_comp(n - 1, k) * _comp(m - 1, k - 1)
+                 + _comp(n - 1, k - 1) * _comp(m - 1, k)),
     )
 
 

@@ -197,7 +197,7 @@ def exact_spectrum(params: IsingParams) -> ManyBodySpectrum:
     popcount = np.bitwise_count(reps).astype(np.int64)
     diagonal = -lam * (N - 2 * popcount)
     momenta = [(k * R) % N == 0 for k in range(N // 2 + 1)]
-    largest = max(int(keep.sum()) for keep in momenta)
+    largest = len(reps)  # k = 0 keeps every orbit, so its block is the largest
     check_cap(f"momentum block of dimension {largest}", 16 * largest**2)
     levels = []
     for k, keep in enumerate(momenta):

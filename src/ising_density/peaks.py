@@ -36,13 +36,12 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from .blocks import (
+    _cell_cost,
     _comp,
-    _count_Na,
-    _count_Nb,
-    _count_Nc,
     _f_count,
     _require_partition,
     _require_transition_ring,
+    _transitions,
     cells,
     count_Na,  # noqa: F401  (bench/tracer.py wraps it here)
     count_Nb,  # noqa: F401  (bench/tracer.py wraps it here)
@@ -68,7 +67,7 @@ XX_PROJECTION_MAX_SITES = 12
 
 _WEIGHT_TOL = 1e-12
 _WINDOW_SIGMAS = 40.0  # exp(-40^2 / 2) underflows to 0.0
-_COMPONENT_BYTES = 1088  # tracemalloc, with sidecar: 483, 867 B at N = 4000, 8000
+_COMPONENT_BYTES = 384  # build + sidecar by tracemalloc: 370-377 B at N = 400-8000
 
 
 # ----------------------------------------------------------------------------
@@ -196,15 +195,23 @@ def _tfim_moments(N: int, lam: float, n: np.ndarray) -> tuple[np.ndarray, np.nda
     return mean, np.where(var < 0.0, 0.0, var)
 
 
-def _check_components(N: int, count: int) -> None:
-    """Refuse a mixture of ``count`` components, with its sidecar, past the cap."""
-    check_cap(f"a mixture of {count} components at N = {N}", count * _COMPONENT_BYTES)
+def _check_components(N: int, count: int, walk_bytes: int = 0) -> None:
+    """Refuse a mixture of ``count`` components past the cap, each with its
+    sidecar and ``walk_bytes`` of the walk that builds it."""
+    needed = count * (_COMPONENT_BYTES + walk_bytes)
+    check_cap(f"a mixture of {count} components at N = {N}", needed)
 
 
-def _occupations(N: int, step: int = 1) -> np.ndarray:
-    """n = 0, step, ..., N, once the N + 1 components pass the cap."""
+def _binomial_clusters(N: int, step: int, moments: Callable) -> GaussianMixture:
+    """One cluster per n = 0, step, ..., N, once the N + 1 components pass the
+    cap: ``(mean, var) = moments(n)`` and weight ``step C(N, n) / 2^N``, each
+    formed as soon as its binomial is made (one int/int division)."""
     _check_components(N, N + 1)
-    return np.arange(0, N + 1, step)
+    n = np.arange(0, N + 1, step)
+    mean, var = moments(n)
+    total = 2**N
+    w = [step * math.comb(N, j) / total for j in n.tolist()]
+    return GaussianMixture(np.column_stack((w, mean, var)))
 
 
 def tfim_mixture_components(N: int, lam: float) -> GaussianMixture:
@@ -223,11 +230,7 @@ def tfim_mixture_components(N: int, lam: float) -> GaussianMixture:
     """
     lam, N = float(lam), require_ring(N)
     step = 1 if abs(lam) >= 1.0 else 2
-    n = _occupations(N, step)
-    mean, var = _tfim_moments(N, lam, n)
-    scale = 2**N if step == 1 else 2 ** (N - 1)
-    w = _ratio([math.comb(N, j) for j in n.tolist()], scale)
-    return GaussianMixture(np.column_stack((w, mean, var)))
+    return _binomial_clusters(N, step, lambda n: _tfim_moments(N, lam, n))
 
 
 # ----------------------------------------------------------------------------
@@ -303,10 +306,9 @@ def strong_field_components(N: int, lam: float, alpha: float) -> GaussianMixture
     variance the transverse hopping contribution, which dominates the width.
     """
     N = require_ring(N)
-    n = _occupations(N)
-    mean, var = _strong_field_moments(N, float(lam), float(alpha), n)
-    w = _ratio([math.comb(N, j) for j in n.tolist()], 2**N)
-    return GaussianMixture(np.column_stack((w, mean, var)))
+    return _binomial_clusters(
+        N, 1, lambda n: _strong_field_moments(N, float(lam), float(alpha), n)
+    )
 
 
 # ----------------------------------------------------------------------------
@@ -337,7 +339,7 @@ def _unit_alpha_classes(N: int) -> _ClassTable:
         m, R = N - n, 2 * k - n
         row = sums[R]
         row[0] += f
-        row[2] += _count_Na(N, n, m, k) + _count_Nb(N, n, m, k) + _count_Nc(N, n, m, k)
+        row[2] += sum(_transitions(N, n, m, k))
         if k > 0:
             row[1] += f * k // N
             row[3] += R * f
@@ -509,7 +511,7 @@ def generic_alpha_components(N: int, lam: float, alpha: float) -> GaussianMixtur
     with float_range("the cell width coupling", lam, alpha):
         coupling = lam**4 / (alpha**2 + lam**2) ** 2
     N = require_ring(N)
-    _check_components(N, 2 + N * N // 4)  # one per cell, checked before the walk
+    _check_components(N, *_cell_cost(N))  # one per cell, with the walk's cells
     n, k, counts = zip(*cells(N))  # the two polarized cells first: spikes
     n, k = np.array(n), np.array(k)
     mu = alpha * (N - 2 * n) + 4 * k - N

@@ -253,26 +253,29 @@ def test_package_unknown_name_raises_attribute_error():
         exec("from ising_density import no_such_name", {})
 
 
-def _references(tree: ast.AST, skip: str | None = None) -> set[str]:
-    """Names a tree refers to by a Name that is not an assignment target, an
-    Attribute, an import alias or a string that is exactly an identifier (as
-    ``getattr`` and ``setattr`` take it: the benchmark tracer wraps
-    ``build_hamiltonian`` that way), leaving out the body of each definition
-    from the name it defines."""
+def _references(
+    tree: ast.AST, skip: str | None = None, names: bool = True
+) -> set[str]:
+    """Names a tree refers to by an Attribute, a string that is exactly an
+    identifier (as ``getattr`` and ``setattr`` take it: the benchmark tracer
+    wraps ``build_hamiltonian`` that way) and, with ``names``, a Name that is
+    not an assignment target or an import alias, leaving out the body of each
+    definition from the name it defines.  A class member is reached only as
+    an attribute or a string, so a local variable of its name is no caller."""
     found: set[str] = set()
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            found |= _references(node, skip=node.name)
+            found |= _references(node, node.name, names)
             continue
-        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            found.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             found.add(node.attr)
-        elif isinstance(node, ast.alias):
-            found.add(node.asname or node.name.rpartition(".")[2])
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             found.add(node.value)  # only an identifier can match a name
-        found |= _references(node, skip)
+        elif names and isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif names and isinstance(node, ast.alias):
+            found.add(node.asname or node.name.rpartition(".")[2])
+        found |= _references(node, skip, names)
     return found - {skip}
 
 
@@ -297,11 +300,15 @@ def test_every_public_name_has_a_caller_outside_the_unit_tests():
         *(ROOT / "bench").glob("*.py"),
         ROOT / "tests" / "test_acceptance.py",
     ]
-    used: set[str] = set()
-    for path in sources:
-        used |= _references(ast.parse(path.read_text(encoding="utf-8")))
-    public = {name: name for name in ising_density._HOMES} | _public_class_members()
-    assert sorted(label for label, name in public.items() if name not in used) == []
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sources]
+    used = set().union(*map(_references, trees))
+    attributes = set().union(*(_references(tree, names=False) for tree in trees))
+    unused = [name for name in ising_density._HOMES if name not in used]
+    unused += [
+        label for label, member in _public_class_members().items()
+        if member not in attributes
+    ]
+    assert sorted(unused) == []
 
 
 def _private_definitions(tree: ast.Module) -> set[str]:

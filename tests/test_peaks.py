@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
@@ -28,11 +29,11 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from ising_density import errors
 from ising_density.blocks import (
-    _count_Na,
-    _count_Nb,
-    _count_Nc,
+    _cell_cost,
     _f_count,
+    _transitions,
     block_census,
     brute_force_census,
     cells,
@@ -71,10 +72,12 @@ from ising_density.peaks import (
     xx_projection_check,
 )
 from ising_density.peaks import (
+    _COMPONENT_BYTES,
     _class_centers,
     _class_shifts,
     _class_widths,
     _ClassTable,
+    _ratio,
     _tfim_moments,
     _unit_alpha_classes,
 )
@@ -403,6 +406,16 @@ class TestTfimMixture:
             [math.comb(8, n) / 2**8 for n in range(9)], rel=1e-14
         )
 
+    @pytest.mark.parametrize("lam", [0.3, 0.999, 1.0, -1.0, 2.3])
+    def test_weights_are_the_binomial_quotients(self, lam):
+        # Below |lambda| = 1 a weight is 2 C(N, n) / 2^N, the same rational as
+        # C(N, n) / 2^(N-1) and so the same float: each is one int/int division.
+        step, shift = (1, 0) if abs(lam) >= 1.0 else (2, 1)
+        for N in range(2, 71, 2):
+            binomials = [math.comb(N, n) for n in range(0, N + 1, step)]
+            expected = _ratio(binomials, 2 ** (N - shift))
+            assert tfim_mixture_components(N, lam).w.tobytes() == expected.tobytes()
+
     def test_boundary_coupling_uses_all_occupations(self):
         # |lambda| = 1 is rendered with the all-n branch, matching how the
         # lambda = 1 panel is drawn with the large-coupling formula.
@@ -524,6 +537,24 @@ class TestStrongFieldMixture:
         ground = dense_energies(N, lam, alpha)[0]
         mix = strong_field_components(N, lam, alpha)
         assert int(np.argmin(np.abs(mix.mu - ground))) == N
+
+    def test_weights_are_the_binomial_quotients(self):
+        for N in [*range(2, 71), 1100]:
+            expected = _ratio([math.comb(N, n) for n in range(N + 1)], 2**N)
+            assert strong_field_components(N, 3.0, 0.5).w.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("N", [1000, 3000])
+    def test_build_memory_per_component_is_flat(self, N):
+        # Each C(N, n), about N / 8 bytes, is freed once its weight is formed;
+        # holding all N + 1 of them took 193 and 386 B per component.
+        strong_field_components(8, 3.0, 0.5)
+        tracemalloc.start()
+        try:
+            strong_field_components(N, 3.0, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (N + 1) <= 128  # measured 108 and 107 B
 
     def test_unit_integral(self):
         grid = np.linspace(-50.0, 50.0, 4001)
@@ -859,15 +890,17 @@ class TestSmallLambdaMixture:
     @pytest.mark.parametrize("N", range(2, 41))
     def test_class_table_equals_the_validated_counts(self, N):
         # The public counts refuse the two-site ring, whose class sums the
-        # walk still takes from the same formulas.
+        # walk still takes from the same formula.
         public = (count_Na, count_Nb, count_Nc)
-        counts = public if N > 2 else (_count_Na, _count_Nb, _count_Nc)
         sums = {}
         for n, k, f in cells(N):
             m, R = N - n, 2 * k - n
             entry = sums.setdefault(R, [0] * 6)
             entry[0] += f
-            entry[2] += sum(count(N, n, m, k) for count in counts)
+            entry[2] += sum(
+                [count(N, n, m, k) for count in public] if N > 2
+                else _transitions(N, n, m, k)
+            )
             if k > 0:
                 entry[1] += f * k // N
                 entry[3] += (2 * k - n) * f
@@ -1143,15 +1176,28 @@ class _Walked(Exception):
     """Raised in place of the cell walk, once the caps before it have passed."""
 
 
-def test_generic_mixture_counts_its_components_before_the_walk(monkeypatch):
-    def walk(N):
-        raise _Walked(N)
+def _walk(N):
+    raise _Walked(N)
 
-    monkeypatch.setattr("ising_density.peaks.cells", walk)
+
+def test_generic_mixture_counts_its_components_before_the_walk(monkeypatch):
+    monkeypatch.setattr("ising_density.peaks.cells", _walk)
     with pytest.raises(_Walked):
-        generic_alpha_components(1100, 0.15, 0.5)
-    with pytest.raises(CapExceeded, match="^a mixture of 4410002 components at N = 4200 "):
-        generic_alpha_components(4200, 0.15, 0.5)
+        generic_alpha_components(4337, 0.15, 0.5)
+    with pytest.raises(CapExceeded, match="^a mixture of 4704563 components at N = 4338 "):
+        generic_alpha_components(4338, 0.15, 0.5)
+
+
+def test_generic_mixture_sums_cells_and_components_against_the_cap(monkeypatch):
+    count, cell_bytes = _cell_cost(100)
+    # The cells alone and the components alone each fit; their sum does not.
+    cap = count * max(cell_bytes, _COMPONENT_BYTES)
+    monkeypatch.setattr(errors, "DEFAULT_MAX_BYTES", cap)
+    monkeypatch.setattr("ising_density.peaks.cells", _walk)
+    errors.check_cap("the cells", count * cell_bytes)
+    errors.check_cap("the components", count * _COMPONENT_BYTES)
+    with pytest.raises(CapExceeded, match=f"^a mixture of {count} components at N = 100 "):
+        generic_alpha_components(100, 0.15, 0.5)
 
 
 # ----------------------------------------------------------------------------
