@@ -14,7 +14,7 @@ import importlib
 __version__ = "0.1.0"
 
 # Every public name by home module: the one list of them, which ``cli``
-# also binds its commands' names from.  Names resolve on first access, so
+# also resolves its commands' names from.  Names resolve on first access, so
 # importing the package (or the CLI through it) loads no compute module
 # and no numpy until one is used.
 _NAMES = {
@@ -96,13 +96,23 @@ _HOMES = {name: home for home, names in _NAMES.items() for name in names}
 __all__ = sorted(_HOMES)
 
 
-def __getattr__(name: str):
-    home = _HOMES.get(name)
-    if home is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{home}", __name__), name)
-    globals()[name] = value
-    return value
+def _resolver(module: str, namespace: dict):
+    """The PEP 562 ``__getattr__`` of ``module``, whose globals are
+    ``namespace``: it imports a public name's home module and binds the name
+    in ``namespace``, so each name resolves once."""
+
+    def __getattr__(name: str):
+        home = _HOMES.get(name)
+        if home is None:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(f".{home}", __name__), name)
+        namespace[name] = value
+        return value
+
+    return __getattr__
+
+
+__getattr__ = _resolver(__name__, globals())
 
 
 def __dir__() -> list[str]:

@@ -31,7 +31,6 @@ import os
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "16")
 
 import functools
-import importlib
 import json
 import math
 import sys
@@ -39,7 +38,7 @@ from typing import TYPE_CHECKING, Callable
 
 import click
 
-from . import _HOMES, _NAMES
+from . import _resolver
 from .errors import MAX_GRID_POINTS, EmptySpectrum, InvalidArgs, IsingError
 
 if TYPE_CHECKING:
@@ -50,29 +49,14 @@ if TYPE_CHECKING:
     from .table import Table
 
 
-def _load(*homes: str) -> None:
-    """Bind into this module the package's public names (``_NAMES``) of
-    ``homes`` that are not bound yet.
-
-    A command loads the modules it runs before calling their names, so
-    ``--help``, usage errors and each subcommand import only what they need.
-    A name replaced from outside, as a tracer does, stays replaced;
-    ``__getattr__`` resolves the same names from outside.
-    """
-    bound = globals()
-    for home in homes:
-        module = importlib.import_module(f".{home}", __package__)
-        for name in _NAMES[home]:
-            if name not in bound:
-                bound[name] = getattr(module, name)
-
-
-def __getattr__(name: str):
-    home = _HOMES.get(name)
-    if home is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load(home)
-    return globals()[name]
+# Commands call the package's public names as attributes of this module,
+# such as ``_lib.exact_spectrum(params)``.  The package's resolver imports a
+# name's home module on first use and binds the name here, so ``--help``,
+# usage errors and each subcommand import only what they run.  It runs only
+# for names not bound yet, so a name replaced from outside, as a tracer
+# does, is the one a command calls.
+_lib = sys.modules[__name__]
+__getattr__ = _resolver(__name__, globals())
 
 
 _MULTI_KINDS = ("multi-tfim", "multi-strong", "multi-int-alpha", "multi-generic")
@@ -141,8 +125,8 @@ def _spectrum_from_table(table: Table) -> ManyBodySpectrum:
         lam = float(metadata["lambda"])
         alpha = float(metadata.get("alpha", "0.0"))
         method = metadata.get("method", "dense")
-        params = IsingParams(N=n, lam=lam, alpha=alpha, model=model)
-        return ManyBodySpectrum(energies=table.columns[1], method=method, params=params)
+        params = _lib.IsingParams(N=n, lam=lam, alpha=alpha, model=model)
+        return _lib.ManyBodySpectrum(table.columns[1], method, params)
     except (KeyError, ValueError, InvalidArgs) as exc:
         raise InvalidArgs(f"malformed spectrum CSV {table.source}: {exc}") from exc
 
@@ -182,17 +166,15 @@ def spectrum(model, n, lam, alpha, method, out) -> None:
     """Compute a complete many-body spectrum and write an eigenvalue CSV."""
     from .table import SPECTRUM_HEADER, write_table
 
-    _load("model")
-    params = IsingParams(n, lam, alpha, model)
+    params = _lib.IsingParams(n, lam, alpha, model)
     if method == "fermion":
         if params.model != "tfim":
             raise InvalidArgs(
                 "the fermion method applies to the transverse-field model only"
             )
-        _load("fermion")
-        result = enumerate_spectrum(n, lam)
+        result = _lib.enumerate_spectrum(n, lam)
     else:
-        result = exact_spectrum(params)
+        result = _lib.exact_spectrum(params)
     metadata = {**_params_metadata(result.params), "method": result.method}
     rows = enumerate(map(float, result.energies))
     write_table(out, metadata, SPECTRUM_HEADER, rows)
@@ -210,35 +192,33 @@ def density(source, bins, kde_sigma, out) -> None:
         raise click.UsageError("--bins and --kde are mutually exclusive")
     from .table import read_table
 
-    _load("model", "curves")
     spec = _spectrum_from_table(read_table(source))
     metadata = _params_metadata(spec.params)
     metadata["method"] = spec.method
     if kde_sigma is not None:
-        curve = kernel_density(spec, kde_sigma)
+        curve = _lib.kernel_density(spec, kde_sigma)
         metadata["kde"] = repr(float(kde_sigma))
     else:
-        curve = histogram(spec, bins=bins)
+        curve = _lib.histogram(spec, bins=bins)
         metadata["bins"] = str(bins) if bins is not None else "default"
-    write_curve_csv(curve, out, metadata)
+    _lib.write_curve_csv(curve, out, metadata)
 
 
 def _build_mixture(kind: str, params: IsingParams) -> GaussianMixture:
-    _load("peaks")
     if kind == "multi-tfim":
         if params.alpha != 0.0:
             raise InvalidArgs("multi-tfim requires alpha = 0")
-        return tfim_mixture_components(params.N, params.lam)
+        return _lib.tfim_mixture_components(params.N, params.lam)
     if kind == "multi-strong":
-        return strong_field_components(params.N, params.lam, params.alpha)
+        return _lib.strong_field_components(params.N, params.lam, params.alpha)
     if kind == "multi-int-alpha":
         if params.alpha != 1.0:
             raise InvalidArgs(
                 "multi-int-alpha is implemented for alpha = 1 "
                 f"(got alpha = {params.alpha!r})"
             )
-        return small_lambda_components(params.N, params.lam)
-    return generic_alpha_components(params.N, params.lam, params.alpha)
+        return _lib.small_lambda_components(params.N, params.lam)
+    return _lib.generic_alpha_components(params.N, params.lam, params.alpha)
 
 
 def _default_energy_grid(mixture: GaussianMixture) -> np.ndarray:
@@ -257,20 +237,19 @@ def _default_energy_grid(mixture: GaussianMixture) -> np.ndarray:
 
 
 def _analytic_values(kind: str, params: IsingParams, e_grid: np.ndarray) -> np.ndarray:
-    _load("analytic")
     if kind == "gaussian":
         if params.model == "tfim":
-            return gaussian_density_tfim(e_grid / params.N, params) / params.N
+            return _lib.gaussian_density_tfim(e_grid / params.N, params) / params.N
         import numpy as np
 
-        scale = abscissa_scale(params, "eps")
-        values = gaussian_density_two_fields(e_grid, params)
+        scale = _lib.abscissa_scale(params, "eps")
+        values = _lib.gaussian_density_two_fields(e_grid, params)
         return np.maximum(values, 0.0) / scale  # the cubic correction can go negative
     if kind == "saddle":
-        return saddle_density_extensive(e_grid, params)
+        return _lib.saddle_density_extensive(e_grid, params)
     if params.model != "tfim" or params.lam != 1.0:
         raise InvalidArgs("the tail formula is specific to tfim at lambda = 1")
-    return tail_density_critical(e_grid, params.N)
+    return _lib.tail_density_critical(e_grid, params.N)
 
 
 @main.command()
@@ -298,18 +277,17 @@ def approx(kind, model, n, lam, alpha, grid, per_spin, rescaled, out) -> None:
     if per_spin and rescaled:
         raise click.UsageError("--per-spin and --rescaled are mutually exclusive")
     target = "e" if per_spin else ("eps" if rescaled else "E")
-    _load("model", "curves")
     import numpy as np
 
     model = model or ("tfim" if alpha == 0.0 else "two-field")
-    params = IsingParams(n, lam, alpha, model)
+    params = _lib.IsingParams(n, lam, alpha, model)
     metadata = _params_metadata(params)
     metadata["kind"] = kind
     # Sampled at E = grid * scale, written on the grid with densities * scale.
     if grid is not None:
         from .curves import _require_grid
 
-        scale = abscissa_scale(params, target)
+        scale = _lib.abscissa_scale(params, target)
         with np.errstate(over="ignore"):  # the node rule refuses what overflows
             e_grid = grid * scale
         _require_grid(e_grid, "--grid scaled to units of E")
@@ -322,13 +300,13 @@ def approx(kind, model, n, lam, alpha, grid, per_spin, rescaled, out) -> None:
     else:
         if grid is None:
             raise click.UsageError(f"--grid is required for kind '{kind}'")
-        curve = DensityCurve(e_grid, _analytic_values(kind, params, e_grid))
+        curve = _lib.DensityCurve(e_grid, _analytic_values(kind, params, e_grid))
     if grid is None:
-        scale = abscissa_scale(params, target)
+        scale = _lib.abscissa_scale(params, target)
         grid = e_grid / scale
     with np.errstate(over="ignore"):  # the curve rule refuses what overflows
-        curve = DensityCurve(grid, curve.values * scale, abscissa=target)
-    write_curve_csv(curve, out, metadata)
+        curve = _lib.DensityCurve(grid, curve.values * scale, abscissa=target)
+    _lib.write_curve_csv(curve, out, metadata)
     if mixture is not None:
         sidecar = out.removesuffix(".csv") + ".mixture.json"
         _write_json(sidecar, {"params": metadata, **mixture.to_json_dict()})
@@ -348,8 +326,13 @@ def compare_command(path_a, path_b, out) -> None:
     """
     from .table import read_table
 
-    _load("model", "curves")
     table_a, table_b = read_table(path_a), read_table(path_b)
+    for table in (table_a, table_b):
+        if table.kind is None:
+            raise InvalidArgs(
+                f"{table.source} is not a spectrum or curve CSV "
+                f"(header {table.header!r})"
+            )
     if table_a.kind != table_b.kind:
         raise InvalidArgs(
             f"cannot compare a {table_a.kind} file with a {table_b.kind} file"
@@ -369,16 +352,16 @@ def compare_command(path_a, path_b, out) -> None:
         with np.errstate(over="ignore"):  # the report refuses an overflow
             diff = np.abs(np.sort(spec_a.energies) - np.sort(spec_b.energies))
             l1 = float(np.mean(diff))
-        report = ComparisonReport(
+        report = _lib.ComparisonReport(
             l1=l1,
             sup=float(np.max(diff)),
             peak_positions=[],
             grids_aligned=True,
         )
     else:
-        curve_a, _ = read_curve_csv(table_a)
-        curve_b, _ = read_curve_csv(table_b)
-        report = compare(curve_a, curve_b)
+        curve_a, _ = _lib.read_curve_csv(table_a)
+        curve_b, _ = _lib.read_curve_csv(table_b)
+        report = _lib.compare(curve_a, curve_b)
     _write_json(out, report.to_json_dict())
 
 
@@ -391,14 +374,13 @@ def census(n, alpha, out) -> None:
     """Write the block-count table, or the degeneracy classes at rational alpha."""
     from .table import write_table
 
-    _load("blocks")
     if alpha is None:
-        result = block_census(n)
+        result = _lib.block_census(n)
         table = {**result.polarized, **result.table}
         rows = ((nn, kk, table[(nn, kk)]) for nn, kk in sorted(table))
         write_table(out, {"n": n}, "n,k,f", rows)
     else:
-        result = degeneracy_census(n, alpha)
+        result = _lib.degeneracy_census(n, alpha)
         rows = (
             (R, result.classes[R], result.energy_of[R]) for R in sorted(result.classes)
         )
@@ -417,10 +399,9 @@ def moments(model, n, lam, alpha, max_order, out) -> None:
     """Tabulate numeric (dense-trace) vs analytic moments up to max order."""
     from .table import write_table
 
-    _load("model")
-    params = IsingParams(n, lam, alpha, model)
-    analytic = analytic_moments(params)
-    numeric = numeric_moments(exact_spectrum(params), max_order=max_order)
+    params = _lib.IsingParams(n, lam, alpha, model)
+    analytic = _lib.analytic_moments(params)
+    numeric = _lib.numeric_moments(_lib.exact_spectrum(params), max_order=max_order)
     rows = [
         (k, float(getattr(numeric, f"m{k}")), float(getattr(analytic, f"m{k}")))
         for k in range(1, max_order + 1)
@@ -435,7 +416,6 @@ def moments(model, n, lam, alpha, max_order, out) -> None:
 @_compute_errors
 def visibility(regime, lam, alpha) -> None:
     """Print the largest ring size with resolved peaks for a regime."""
-    _load("peaks")
-    result = visibility_Nmax(lam, alpha, regime)
+    result = _lib.visibility_Nmax(lam, alpha, regime)
     suffix = " (order of magnitude)" if result.order_of_magnitude else ""
     click.echo(f"{result.n_max!r}{suffix}")

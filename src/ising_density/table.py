@@ -42,8 +42,9 @@ class Table(NamedTuple):
     columns: np.ndarray  # shape (number of columns, number of rows)
 
     @property
-    def kind(self) -> str:
-        return "spectrum" if self.header == SPECTRUM_HEADER else "curve"
+    def kind(self) -> str | None:
+        """``"spectrum"`` or ``"curve"`` by the header; None for any other."""
+        return {SPECTRUM_HEADER: "spectrum", CURVE_HEADER: "curve"}.get(self.header)
 
 
 @contextmanager

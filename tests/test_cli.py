@@ -487,6 +487,39 @@ class TestCompare:
         assert result.exit_code == 1
         assert json.loads(result.stderr)["code"] == "InvalidArgs"
 
+    @pytest.mark.parametrize("pair, named", [
+        (("census", "spectrum"), "census"),
+        (("spectrum", "census"), "census"),
+        (("moments", "moments"), "moments"),
+    ], ids=["census-spectrum", "spectrum-census", "moments-moments"])
+    def test_other_tables_are_refused_as_neither_kind(
+        self, runner, tmp_path, pair, named
+    ):
+        paths = {name: tmp_path / f"{name}.csv" for name in set(pair)}
+        commands = {
+            "census": ["census", "--n", "6"],
+            "spectrum": ["spectrum", "--model", "tfim", "--n", "6", "--lambda", "1"],
+            "moments": ["moments", "--model", "tfim", "--n", "4", "--lambda", "1"],
+        }
+        for name, path in paths.items():
+            run_ok(runner, [*commands[name], "--out", str(path)])
+        header = next(
+            line for line in paths[named].read_text().splitlines()
+            if not line.startswith("#")
+        )
+        out = tmp_path / "r.json"
+        result = runner.invoke(main, [
+            "compare", "--a", str(paths[pair[0]]), "--b", str(paths[pair[1]]),
+            "--out", str(out),
+        ])
+        assert result.exit_code == 1
+        assert json.loads(result.stderr) == {
+            "code": "InvalidArgs",
+            "message": f"{paths[named]} is not a spectrum or curve CSV "
+            f"(header {header!r})",
+        }
+        assert not out.exists()
+
 
 class TestFileErrors:
     """Unreadable inputs and unwritable outputs give one JSON line and exit 1."""

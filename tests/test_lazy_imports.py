@@ -122,7 +122,7 @@ def test_tracer_names_resolve_on_cli_to_their_home_objects():
     for name in ising_density.__all__:
         home = importlib.import_module(getattr(ising_density, name).__module__)
         assert getattr(cli, name) is getattr(home, name), name
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match="'ising_density.cli' has no attribute"):
         cli.no_such_name
 
 
@@ -225,6 +225,75 @@ def test_spectrum_calls_a_replaced_exact_spectrum(tmp_path, monkeypatch):
     assert result.exit_code == 0, result.output
     assert calls == [IsingParams.tfim(4, 1.0)]
     assert out.exists()
+
+
+def test_a_name_replaced_before_its_module_loads_is_the_one_called(tmp_path):
+    # A tracer replaces names on ``cli`` before their home modules load.  The
+    # resolver runs only for names not bound yet, so the replacement is the
+    # one the command calls, and it is still bound afterwards.
+    _write_spectrum(tmp_path / "d.csv")
+    script = """\
+import json, sys
+from ising_density import cli
+loaded_before = "ising_density.curves" in sys.modules
+calls = []
+
+def kernel_density(spec, sigma):
+    from ising_density.curves import kernel_density as real
+    calls.append(sigma)
+    return real(spec, sigma)
+
+cli.kernel_density = kernel_density
+cli.main(["density", "--in", "d.csv", "--kde", "0.5", "--out", "k.csv"],
+         standalone_mode=False)
+print(json.dumps([loaded_before, "ising_density.curves" in sys.modules, calls,
+                  cli.kernel_density is kernel_density]))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=_fresh_env(),
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, True, [0.5], True]
+    assert (tmp_path / "k.csv").exists()
+
+
+def _cli_tree() -> ast.Module:
+    return ast.parse((ROOT / "src" / "ising_density" / "cli.py").read_text("utf-8"))
+
+
+def test_cli_reaches_registry_names_only_through_the_resolver():
+    # ``_lib.<typo>`` is an AttributeError and a bare registry name a
+    # NameError, each only on the branch that reaches it; both show here.
+    tree = _cli_tree()
+    via_lib = {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name) and node.value.id == "_lib"
+    }
+    assert via_lib and sorted(via_lib - set(ising_density._HOMES)) == []
+    # A bare name is allowed when a top-level import binds it at start-up (the
+    # error classes) or in an annotation, which is never evaluated.
+    imported = {
+        alias.asname or alias.name for node in tree.body
+        if isinstance(node, ast.ImportFrom) for alias in node.names
+    }
+    annotations = [
+        node.returns for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+    ] + [node.annotation for node in ast.walk(tree) if isinstance(node, ast.arg)]
+    in_annotations = {
+        id(node) for annotation in annotations if annotation is not None
+        for node in ast.walk(annotation)
+    }
+    bare = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        and id(node) not in in_annotations
+        and node.id in ising_density._HOMES and node.id not in imported
+    }
+    assert sorted(bare) == []
+    assert {ising_density._HOMES[name] for name in imported
+            if name in ising_density._HOMES} == {"errors"}
 
 
 def test_package_names_are_their_home_modules_objects():
