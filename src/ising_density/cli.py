@@ -34,6 +34,7 @@ import functools
 import json
 import math
 import sys
+from itertools import islice
 from typing import TYPE_CHECKING, Callable
 
 import click
@@ -137,6 +138,31 @@ def _write_json(path: str, payload: dict) -> None:
     with open_text(path, "w") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
+
+
+# One mixture component as ``json.dump(..., indent=2)`` lays it out.  ``%r``
+# of a float is what ``json`` writes for it when it is finite, and a
+# GaussianMixture holds only finite numbers.
+_COMPONENT_JSON = '\n    {\n      "w": %r,\n      "mu": %r,\n      "var": %r\n    }'
+
+
+def _write_mixture_json(path: str, params: dict, mixture: GaussianMixture) -> None:
+    """Write ``{"params": params, "components": [{"w", "mu", "var"}, ...]}``
+    with the bytes of ``json.dump(..., indent=2)`` and a final newline.  The
+    rows are formatted from the component table a write chunk at a time, so
+    no per-component dict, and no whole string, is built."""
+    from .table import _WRITE_CHUNK, open_text
+
+    head = json.dumps({"params": params}, indent=2).removesuffix("\n}")
+    # A memoryview yields Python floats one at a time, with no list per column.
+    rows = zip(*map(memoryview, (mixture.w, mixture.mu, mixture.var)))
+    separator = ""
+    with open_text(path, "w") as handle:
+        handle.write(head + ',\n  "components": [')
+        while chunk := [_COMPONENT_JSON % row for row in islice(rows, _WRITE_CHUNK)]:
+            handle.write(separator + ",".join(chunk))
+            separator = ","
+        handle.write("\n  ]\n}\n")
 
 
 # ----------------------------------------------------------------------------
@@ -309,7 +335,7 @@ def approx(kind, model, n, lam, alpha, grid, per_spin, rescaled, out) -> None:
     _lib.write_curve_csv(curve, out, metadata)
     if mixture is not None:
         sidecar = out.removesuffix(".csv") + ".mixture.json"
-        _write_json(sidecar, {"params": metadata, **mixture.to_json_dict()})
+        _write_mixture_json(sidecar, metadata, mixture)
 
 
 @main.command("compare")

@@ -29,7 +29,10 @@ KDE_LATTICE_STEP = math.sqrt(8.0) * 1e-3
 KDE_WINDOW = 9.0
 # Grid points of a kernel density estimate.
 KDE_POINTS = 1001
-# Levels binned per pass, which bounds the binning's temporaries to about 9 MB.
+# Levels binned per pass.  A pass holds about 58 B a level, 3.6-3.8 MiB at
+# 2^18 levels and h = 0.4 or 30 (tracemalloc), plus its ``bincount`` output
+# over the lattice span it touches.  Another size would regroup those sums
+# and so change the output bits.
 KDE_CHUNK = 1 << 16
 
 
@@ -38,8 +41,9 @@ def _require_grid(grid: Iterable[float], what: str = "grid") -> np.ndarray:
     curve: 1-D, at least two finite nodes, ``grid[1:] > grid[:-1]``.  That
     test fails on NaN and leaves any infinity at an end, so only the ends need
     ``isfinite``.  Steps that can overflow run under ``np.errstate`` and leave
-    their non-finite nodes to this rule; ``what`` names the grid."""
-    grid = np.asarray(grid, dtype=float)
+    their non-finite nodes to this rule; ``what`` names the grid.  A strided
+    grid, such as a table's column, is copied into C order."""
+    grid = np.asarray(grid, dtype=float, order="C")
     if grid.ndim != 1 or len(grid) < 2:
         raise InvalidArgs(f"{what} must be a 1-D array of at least two points")
     if not (np.isfinite(grid[[0, -1]]).all() and np.all(grid[1:] > grid[:-1])):
@@ -180,20 +184,53 @@ def _window_lattice(
     stride = min(refine, 2 * half + 1)
     lattice = np.zeros((KDE_POINTS - 1) * stride + 2 * half + 1)
     for start in range(0, len(energies), KDE_CHUNK):
-        position = (energies[start : start + KDE_CHUNK] - lo) / step
-        position = np.clip(position, 0.0, refine * (KDE_POINTS - 1))
-        below = np.floor(position)
-        upper = position - below
-        j, o = np.divmod(np.concatenate([below, below + 1]).astype(np.int64), refine)
-        near_left = o <= half
-        keep = near_left | (o >= refine - half)
-        kept = np.where(near_left, j * stride + o, (j + 1) * stride + o - refine)[keep]
-        if len(kept):
-            base = kept.min()
-            weight = np.concatenate([1.0 - upper, upper])[keep]
-            counts = np.bincount(kept - base, weights=weight)
-            lattice[base + half : base + half + len(counts)] += counts
+        levels = energies[start : start + KDE_CHUNK]
+        _bin_chunk(lattice, levels, lo, step, refine, half, stride)
     return lattice, stride
+
+
+def _bin_chunk(
+    lattice: np.ndarray, levels: np.ndarray, lo: float, step: float, refine: int,
+    half: int, stride: int,
+) -> None:
+    """Add the linear binning of ``levels`` to ``lattice`` (``_window_lattice``).
+
+    Level i goes to lattice nodes floor(p_i), in slot i of one int64 array,
+    and floor(p_i) + 1, in slot n + i.  The steps work in place on that array
+    and each temporary goes as soon as it is used, so a chunk of n levels
+    holds about 58 n bytes besides the ``bincount`` output.  Every value is
+    the one a fresh array per step would hold, and ``bincount`` sums the
+    weights in the same order, so the lattice is the same to the bit.
+    """
+    upper = levels - lo
+    upper /= step
+    np.clip(upper, 0.0, refine * (KDE_POINTS - 1), out=upper)
+    n = len(upper)
+    index = np.empty(2 * n, dtype=np.int64)
+    index[:n] = index[n:] = np.floor(upper)
+    upper -= index[:n]
+    index[n:] += 1
+    offset = index % refine
+    keep = offset <= half  # in node j's window
+    right = ~keep  # so in node j + 1's window if kept
+    keep |= offset >= refine - half
+    index //= refine
+    index *= stride
+    index += offset
+    np.multiply(right, stride - refine, out=offset)
+    index += offset
+    del offset, right
+    kept = index[keep]
+    del index
+    if not len(kept):
+        return
+    base = kept.min()
+    kept -= base
+    weight = np.empty(2 * n)
+    np.subtract(1.0, upper, out=weight[:n])
+    weight[n:] = upper
+    counts = np.bincount(kept, weights=weight[keep])
+    lattice[base + half : base + half + len(counts)] += counts
 
 
 @dataclass(frozen=True)

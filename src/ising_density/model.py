@@ -89,7 +89,10 @@ class ManyBodySpectrum:
     params: IsingParams
 
     def __post_init__(self) -> None:
-        energies = np.asarray(self.energies, dtype=float)
+        # C order: a strided column, such as a table's, is copied once, so
+        # reductions group their sums as on any contiguous array and the
+        # spectrum does not keep the table's buffer alive.
+        energies = np.asarray(self.energies, dtype=float, order="C")
         if energies.ndim != 1:
             raise InvalidArgs("energies must be a one-dimensional array")
         if not np.all(np.isfinite(energies)):

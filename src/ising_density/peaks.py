@@ -67,7 +67,12 @@ XX_PROJECTION_MAX_SITES = 12
 
 _WEIGHT_TOL = 1e-12
 _WINDOW_SIGMAS = 40.0  # exp(-40^2 / 2) underflows to 0.0
-_COMPONENT_BYTES = 384  # build + sidecar by tracemalloc: 370-377 B at N = 400-8000
+# Bytes per component of a mixture's build plus its sidecar: tracemalloc
+# peaks were 370-377 B at N = 400-8000 with a dict per component.  With the
+# sidecar formatted a chunk at a time they are 427, 393 and 208 B for
+# multi-strong at N = 1000, 4000 and 8000 (one chunk over few components)
+# and 214 and 284 B for multi-generic at N = 400 and 1100 (its build peak).
+_COMPONENT_BYTES = 384
 
 
 # ----------------------------------------------------------------------------
@@ -154,10 +159,6 @@ class GaussianMixture:
                 trapezoid[[0, -1]] *= 0.5
                 np.add.at(values, i, self.w[spikes] / trapezoid[i])
         return DensityCurve(grid=grid, values=values)
-
-    def to_json_dict(self) -> dict:
-        rows = self.components.tolist()
-        return {"components": [dict(zip(("w", "mu", "var"), row)) for row in rows]}
 
 
 class Visibility(NamedTuple):

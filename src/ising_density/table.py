@@ -3,15 +3,17 @@
 A table is a block of ``# key = value`` metadata lines, one header line of
 comma-separated column names and one line per row.  Cells are written with
 ``%s``, so floats come out in shortest round-trip form and reruns are
-byte-identical.  Writing formats and writes 65,536 rows at a time.
+byte-identical.  Writing formats and writes 4,096 rows at a time, so a
+write holds well under 1 MiB of text at any table size.
 
 Reading takes the metadata lines and the header with ``readline`` and hands
 the rest of the file to one ``np.loadtxt``, whose C parser converts the
-rows; no whole-file string is built.  Empty lines are skipped.  A row that
-``loadtxt`` refuses (a junk cell, ``1_0``-style digits, a whitespace-only
-line or a ``#`` line after the header), a row width other than the
-header's, undecodable bytes or a missing header is an ``InvalidArgs`` that
-names the file.
+rows; no whole-file string is built.  The columns are a strided view of the
+parsed rows, not a second copy of them.  Empty lines are skipped.  A row
+that ``loadtxt`` refuses (a junk cell, ``1_0``-style digits, a
+whitespace-only line or a ``#`` line after the header), a row width other
+than the header's, undecodable bytes or a missing header is an
+``InvalidArgs`` that names the file.
 
 Two kinds of table are read back: eigenvalue spectra (header
 ``index,energy``) and density curves (header ``abscissa,density``).
@@ -30,7 +32,7 @@ from .errors import InvalidArgs
 
 SPECTRUM_HEADER = "index,energy"
 CURVE_HEADER = "abscissa,density"
-_WRITE_CHUNK = 65_536
+_WRITE_CHUNK = 4_096
 
 
 class Table(NamedTuple):
@@ -39,7 +41,7 @@ class Table(NamedTuple):
     source: str
     metadata: dict[str, str]
     header: str
-    columns: np.ndarray  # shape (number of columns, number of rows)
+    columns: np.ndarray  # (columns, rows): a view of the parsed rows
 
     @property
     def kind(self) -> str | None:
@@ -105,4 +107,4 @@ def read_table(path: str) -> Table:
             raise InvalidArgs(rule) from exc
     if len(rows) and rows.shape[1] != width:
         raise InvalidArgs(rule)
-    return Table(path, metadata, header, rows.T.reshape(width, -1).copy())
+    return Table(path, metadata, header, rows.T.reshape(width, -1))

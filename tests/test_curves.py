@@ -370,8 +370,8 @@ def test_write_table_in_chunks_matches_one_string(tmp_path, monkeypatch, count) 
 
 
 def test_curve_rows_are_the_reprs_of_a_strided_grid(tmp_path) -> None:
-    """Rows come from the arrays' buffers, and DensityCurve keeps a strided
-    grid as the view it was given: each element's repr must still be written."""
+    """Rows come from the arrays' buffers, and DensityCurve copies a strided
+    grid into C order: each element's repr must still be written."""
     base = np.linspace(-1.0, 2.0, 31) ** 3
     values = np.linspace(0.0, 1.0, 11) / 3.0
     curve = DensityCurve(base[::3], values)

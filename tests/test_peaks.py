@@ -19,6 +19,7 @@ spectra to 1e-14) before being adopted here.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import re
 import tracemalloc
@@ -44,7 +45,7 @@ from ising_density.blocks import (
     count_Nc,
     degeneracy_census,
 )
-from ising_density.cli import _build_mixture
+from ising_density.cli import _build_mixture, _write_mixture_json
 from ising_density.curves import DensityCurve
 from ising_density.errors import (
     AlphaSingular,
@@ -313,14 +314,17 @@ class TestGaussianMixture:
         with pytest.raises(InvalidArgs, match="strictly ascending"):
             mix.density_curve(grid)
 
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, tmp_path):
         mix = GaussianMixture(((0.25, -1.0, 0.0), (0.75, 2.0, 3.0)))
-        payload = mix.to_json_dict()
+        path = tmp_path / "m.mixture.json"
+        _write_mixture_json(str(path), {"n": 2}, mix)
+        payload = json.loads(path.read_text(encoding="utf-8"))
         assert payload == {
+            "params": {"n": 2},
             "components": [
                 {"w": 0.25, "mu": -1.0, "var": 0.0},
                 {"w": 0.75, "mu": 2.0, "var": 3.0},
-            ]
+            ],
         }
         again = GaussianMixture(
             [(c["w"], c["mu"], c["var"]) for c in payload["components"]]
