@@ -34,7 +34,6 @@ import functools
 import json
 import math
 import sys
-from itertools import islice
 from typing import TYPE_CHECKING, Callable
 
 import click
@@ -132,14 +131,6 @@ def _spectrum_from_table(table: Table) -> ManyBodySpectrum:
         raise InvalidArgs(f"malformed spectrum CSV {table.source}: {exc}") from exc
 
 
-def _write_json(path: str, payload: dict) -> None:
-    from .table import open_text
-
-    with open_text(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-
-
 # One mixture component as ``json.dump(..., indent=2)`` lays it out.  ``%r``
 # of a float is what ``json`` writes for it when it is finite, and a
 # GaussianMixture holds only finite numbers.
@@ -148,21 +139,16 @@ _COMPONENT_JSON = '\n    {\n      "w": %r,\n      "mu": %r,\n      "var": %r\n  
 
 def _write_mixture_json(path: str, params: dict, mixture: GaussianMixture) -> None:
     """Write ``{"params": params, "components": [{"w", "mu", "var"}, ...]}``
-    with the bytes of ``json.dump(..., indent=2)`` and a final newline.  The
-    rows are formatted from the component table a write chunk at a time, so
-    no per-component dict, and no whole string, is built."""
-    from .table import _WRITE_CHUNK, open_text
+    with the bytes of ``json.dump(..., indent=2)`` and a final newline,
+    formatting rows from the component table: no per-component dict."""
+    from .table import write_text
 
     head = json.dumps({"params": params}, indent=2).removesuffix("\n}")
     # A memoryview yields Python floats one at a time, with no list per column.
     rows = zip(*map(memoryview, (mixture.w, mixture.mu, mixture.var)))
-    separator = ""
-    with open_text(path, "w") as handle:
-        handle.write(head + ',\n  "components": [')
-        while chunk := [_COMPONENT_JSON % row for row in islice(rows, _WRITE_CHUNK)]:
-            handle.write(separator + ",".join(chunk))
-            separator = ","
-        handle.write("\n  ]\n}\n")
+    write_text(
+        path, head + ',\n  "components": [', _COMPONENT_JSON, rows, ",", "\n  ]\n}\n"
+    )
 
 
 # ----------------------------------------------------------------------------
@@ -350,7 +336,7 @@ def compare_command(path_a, path_b, out) -> None:
     absolute difference, sup = max); curve inputs are compared as densities
     with peak matching.
     """
-    from .table import read_table
+    from .table import read_table, write_text
 
     table_a, table_b = read_table(path_a), read_table(path_b)
     for table in (table_a, table_b):
@@ -388,7 +374,7 @@ def compare_command(path_a, path_b, out) -> None:
         curve_a, _ = _lib.read_curve_csv(table_a)
         curve_b, _ = _lib.read_curve_csv(table_b)
         report = _lib.compare(curve_a, curve_b)
-    _write_json(out, report.to_json_dict())
+    write_text(out, json.dumps(report.to_json_dict(), indent=2) + "\n")
 
 
 @main.command()

@@ -29,11 +29,12 @@ KDE_LATTICE_STEP = math.sqrt(8.0) * 1e-3
 KDE_WINDOW = 9.0
 # Grid points of a kernel density estimate.
 KDE_POINTS = 1001
-# Levels binned per pass.  A pass holds about 58 B a level, 3.6-3.8 MiB at
-# 2^18 levels and h = 0.4 or 30 (tracemalloc), plus its ``bincount`` output
-# over the lattice span it touches.  Another size would regroup those sums
-# and so change the output bits.
+# Levels binned per pass.  A pass holds about 58 B a level (kernel_density at
+# 2^18 levels and h = 0.4 or 30 peaks at 3.2-3.5 MiB by tracemalloc), plus one
+# ``bincount`` output at a time over at most KDE_SPAN lattice nodes (8 MiB).
+# Another KDE_CHUNK would regroup those sums and so change the output bits.
 KDE_CHUNK = 1 << 16
+KDE_SPAN = 1 << 20
 
 
 def _require_grid(grid: Iterable[float], what: str = "grid") -> np.ndarray:
@@ -200,7 +201,9 @@ def _bin_chunk(
     and each temporary goes as soon as it is used, so a chunk of n levels
     holds about 58 n bytes besides the ``bincount`` output.  Every value is
     the one a fresh array per step would hold, and ``bincount`` sums the
-    weights in the same order, so the lattice is the same to the bit.
+    weights in the same order, so the lattice is the same to the bit.  That
+    holds too when the kept nodes span more than KDE_SPAN: each range of
+    KDE_SPAN nodes is binned from its own levels, in input order.
     """
     upper = levels - lo
     upper /= step
@@ -229,8 +232,18 @@ def _bin_chunk(
     weight = np.empty(2 * n)
     np.subtract(1.0, upper, out=weight[:n])
     weight[n:] = upper
-    counts = np.bincount(kept, weights=weight[keep])
-    lattice[base + half : base + half + len(counts)] += counts
+    del upper
+    weight = weight[keep]
+    del keep
+    span = int(kept.max()) + 1
+    for start in range(0, span, KDE_SPAN):
+        part, part_weight = kept, weight
+        if span > KDE_SPAN:
+            inside = (kept >= start) & (kept < start + KDE_SPAN)
+            part, part_weight = kept[inside] - start, weight[inside]
+        counts = np.bincount(part, weights=part_weight)
+        lattice[base + half + start : base + half + start + len(counts)] += counts
+        del counts
 
 
 @dataclass(frozen=True)

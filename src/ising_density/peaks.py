@@ -67,12 +67,11 @@ XX_PROJECTION_MAX_SITES = 12
 
 _WEIGHT_TOL = 1e-12
 _WINDOW_SIGMAS = 40.0  # exp(-40^2 / 2) underflows to 0.0
-# Bytes per component of a mixture's build plus its sidecar: tracemalloc
-# peaks were 370-377 B at N = 400-8000 with a dict per component.  With the
-# sidecar formatted a chunk at a time they are 427, 393 and 208 B for
-# multi-strong at N = 1000, 4000 and 8000 (one chunk over few components)
-# and 214 and 284 B for multi-generic at N = 400 and 1100 (its build peak).
-_COMPONENT_BYTES = 384
+# Bytes per component of a mixture's build, with margin: tracemalloc peaks were
+# 106-113 B for multi-strong at N = 1000-8000 and 78 B above _cell_cost's for
+# multi-generic at N = 400-2000.  The sidecar's one write chunk, about 1.3 MiB
+# at any size, is left out against the 4 GiB cap.
+_COMPONENT_BYTES = 128
 
 
 # ----------------------------------------------------------------------------
@@ -197,8 +196,8 @@ def _tfim_moments(N: int, lam: float, n: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def _check_components(N: int, count: int, walk_bytes: int = 0) -> None:
-    """Refuse a mixture of ``count`` components past the cap, each with its
-    sidecar and ``walk_bytes`` of the walk that builds it."""
+    """Refuse a mixture of ``count`` components past the cap, each with
+    ``walk_bytes`` of the walk that builds it."""
     needed = count * (_COMPONENT_BYTES + walk_bytes)
     check_cap(f"a mixture of {count} components at N = {N}", needed)
 

@@ -1,10 +1,11 @@
-"""The one CSV format behind every table the package writes or reads.
+"""The one CSV format behind every table, and the one writer of every file.
 
 A table is a block of ``# key = value`` metadata lines, one header line of
 comma-separated column names and one line per row.  Cells are written with
 ``%s``, so floats come out in shortest round-trip form and reruns are
-byte-identical.  Writing formats and writes 4,096 rows at a time, so a
-write holds well under 1 MiB of text at any table size.
+byte-identical.  Every output file, CSV or JSON, is written by
+``write_text``, 4,096 rows at a time, so a write holds well under 1 MiB of
+text at any file size.
 
 Reading takes the metadata lines and the header with ``readline`` and hands
 the rest of the file to one ``np.loadtxt``, whose C parser converts the
@@ -60,21 +61,29 @@ def open_text(path: str, mode: str) -> Iterator[IO[str]]:
         raise InvalidArgs(f"cannot {verb} {path}: {exc}") from exc
 
 
-def write_table(path: str, metadata: dict, header: str, rows: Iterable[tuple]) -> None:
-    """Write metadata lines, the header and one line per row tuple.
-
-    Rows are formatted and written _WRITE_CHUNK at a time, so memory does
-    not grow with the table.
-    """
-    template = ",".join(["%s"] * (header.count(",") + 1))
-    lines = [f"# {key} = {value}" for key, value in metadata.items()]
-    lines.append(header)
+def write_text(
+    path: str, head: str, template: str = "", rows: Iterable[tuple] = (),
+    separator: str = "", tail: str = "",
+) -> None:
+    """Write ``head``, ``template % row`` for each row joined by ``separator``,
+    and ``tail``, formatting _WRITE_CHUNK rows a write so memory does not
+    grow with the file."""
     rows = iter(rows)
+    gap = ""
     with open_text(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(head)
         while chunk := [template % row for row in islice(rows, _WRITE_CHUNK)]:
-            chunk.append("")
-            handle.write("\n".join(chunk))
+            handle.write(gap)
+            handle.write(separator.join(chunk))
+            gap = separator
+        handle.write(tail)
+
+
+def write_table(path: str, metadata: dict, header: str, rows: Iterable[tuple]) -> None:
+    """Write metadata lines, the header and one line per row tuple."""
+    lines = [f"# {key} = {value}" for key, value in metadata.items()]
+    template = ",".join(["%s"] * (header.count(",") + 1)) + "\n"
+    write_text(path, "\n".join([*lines, header, ""]), template, rows)
 
 
 def read_table(path: str) -> Table:

@@ -2,25 +2,36 @@
 
 Each path holds a bounded temporary whatever the size of the file: writes
 format a chunk of rows at a time, reads keep one copy of the parsed rows,
-the KDE bins its levels in place, and the sidecar is formatted from the
-component table.  The peaks are tracemalloc's, above what was held before
-the call; the bytes and bits are those of the one-shot forms they replace.
+the KDE bins its levels in place and one bounded lattice range at a time,
+and the sidecar is formatted from the component table.  The peaks are
+tracemalloc's, above what was held before the call; the bytes and bits are
+those of the one-shot forms they replace.  Every output file goes through
+the one table writer.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from ising_density import cli, curves, table
-from ising_density.curves import DensityCurve, kernel_density
+from ising_density.curves import (
+    DensityCurve,
+    compare,
+    kernel_density,
+    read_curve_csv,
+    write_curve_csv,
+)
 from ising_density.errors import InvalidArgs
 from ising_density.fermion import enumerate_spectrum
-from ising_density.model import IsingParams, ManyBodySpectrum
+from ising_density.model import IsingParams, ManyBodySpectrum, exact_spectrum
 from ising_density.peaks import GaussianMixture, generic_alpha_components
 
 MIB = 2**20
@@ -74,6 +85,25 @@ def test_kernel_density_bins_in_bounded_memory(spectrum18):
     assert traced_peak(lambda: kernel_density(spectrum18, 0.4)) <= 6.5 * MIB
 
 
+def test_kde_of_unsorted_levels_bins_one_bounded_range_at_a_time(monkeypatch):
+    # At h = 1e-3 each pass of unsorted levels spans the whole 48.6 MiB
+    # lattice; one KDE_SPAN range of sums is 8 MiB.
+    energies = np.random.default_rng(30).normal(0.0, 9.0, 200_001)
+    spectrum = ManyBodySpectrum(energies, "dense", IsingParams.tfim(18, 0.9))
+    window_lattice = curves._window_lattice
+    above = []
+
+    def traced(*args):
+        lattice = []
+        peak = traced_peak(lambda: lattice.extend(window_lattice(*args)))
+        above.append(peak - lattice[0].nbytes)
+        return tuple(lattice)
+
+    monkeypatch.setattr(curves, "_window_lattice", traced)
+    kernel_density(spectrum, 1e-3)
+    assert above[0] <= 12 * MIB
+
+
 def test_sidecar_of_forty_thousand_components_holds_under_two_and_a_half_mib(tmp_path):
     mixture = generic_alpha_components(400, 0.15, 0.5)
     assert len(mixture.components) == 40_002
@@ -123,6 +153,60 @@ def test_sidecar_is_the_json_of_its_payload(tmp_path, mixture):
     path = tmp_path / "m.mixture.json"
     cli._write_mixture_json(str(path), params, mixture)
     assert path.read_text(encoding="utf-8") == one_shot_sidecar(params, mixture)
+
+
+@pytest.mark.parametrize("kind", ["spectrum", "curve"])
+def test_compare_report_is_the_json_of_its_payload(tmp_path, kind):
+    a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    if kind == "spectrum":
+        meta = {"model": "tfim", "n": 6, "lambda": "0.7", "alpha": "0.0", "method": "dense"}
+        spectra = [exact_spectrum(IsingParams.tfim(6, 0.7)), enumerate_spectrum(6, 0.7)]
+        for path, spectrum in zip((a, b), spectra):
+            table.write_table(path, meta, table.SPECTRUM_HEADER, spectrum_rows(spectrum))
+        diff = np.abs(np.sort(spectra[0].energies) - np.sort(spectra[1].energies))
+        payload = {"l1": float(np.mean(diff)), "sup": float(np.max(diff)),
+                   "peak_positions": [], "grids_aligned": True}
+    else:
+        grid = np.linspace(-3.0, 3.0, 301)
+        curve_a = DensityCurve(grid, np.exp(-grid**2) / math.sqrt(math.pi))
+        curve_b = DensityCurve(grid + 0.1, np.exp(-grid**2) / math.sqrt(math.pi))
+        write_curve_csv(curve_a, a)
+        write_curve_csv(curve_b, b)
+        payload = compare(read_curve_csv(a)[0], read_curve_csv(b)[0]).to_json_dict()
+        assert payload["peak_positions"] and not payload["grids_aligned"]
+    out = tmp_path / "report.json"
+    result = CliRunner().invoke(cli.main, ["compare", "--a", a, "--b", b, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert out.read_text(encoding="utf-8") == json.dumps(payload, indent=2) + "\n"
+
+
+PACKAGE = Path(cli.__file__).parent
+
+
+def test_only_table_opens_files():
+    openers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "table.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                if name in ("open", "open_text"):
+                    openers.append(f"{path.name}:{node.lineno}")
+    assert openers == []
+
+
+def test_cli_imports_no_private_table_name():
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("table")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def reference_window_lattice(energies, lo, step, refine, half):

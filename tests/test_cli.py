@@ -694,11 +694,11 @@ def test_cell_walks_beyond_the_memory_cap_fail_fast(runner, tmp_path, command, n
 
 
 def test_multi_generic_counts_its_components_against_the_cap(runner, tmp_path):
-    # cells(4338) passes the walk's own cap (4,704,563 cells at 529 B each),
-    # but the cells, plus one component per cell and its sidecar, do not.
+    # cells(4906) passes the walk's own cap (6,017,211 cells at 586 B each),
+    # but the cells plus one component per cell do not.
     args = ["approx", "--kind", "multi-generic", "--lambda", "0.1", "--alpha", "0.5"]
-    message = assert_fails_fast_at_the_cap(runner, tmp_path, [*args, "--n", "4338"], "4338")
-    assert message.startswith("a mixture of 4704563 components at N = 4338 ")
+    message = assert_fails_fast_at_the_cap(runner, tmp_path, [*args, "--n", "4906"], "4906")
+    assert message.startswith("a mixture of 6017211 components at N = 4906 ")
 
 
 class TestMoments:

@@ -1187,9 +1187,9 @@ def _walk(N):
 def test_generic_mixture_counts_its_components_before_the_walk(monkeypatch):
     monkeypatch.setattr("ising_density.peaks.cells", _walk)
     with pytest.raises(_Walked):
-        generic_alpha_components(4337, 0.15, 0.5)
-    with pytest.raises(CapExceeded, match="^a mixture of 4704563 components at N = 4338 "):
-        generic_alpha_components(4338, 0.15, 0.5)
+        generic_alpha_components(4905, 0.15, 0.5)
+    with pytest.raises(CapExceeded, match="^a mixture of 6017211 components at N = 4906 "):
+        generic_alpha_components(4906, 0.15, 0.5)
 
 
 def test_generic_mixture_sums_cells_and_components_against_the_cap(monkeypatch):
