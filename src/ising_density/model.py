@@ -165,6 +165,14 @@ def exact_spectrum(params: IsingParams) -> ManyBodySpectrum:
     (|~a> + |~a'>) / sqrt(2) and i (|~a> - |~a'>) / sqrt(2) form a PK-invariant
     basis of the same size, in which H is real.  Each term scatters into at
     most four real entries of that basis.
+
+    Each block splits further into sectors of two Z2 symmetries, and each
+    sector is solved on its own.  With alpha = 0 (the tfim model) every term
+    flips an even number of spins, so the parity of popcount(a) is conserved.
+    At k = 0 and k = N/2, where k = -k, P itself maps the block to itself,
+    and P |~a> = e^{ikl} |~a'>: the even combination has P sign e^{ikl} and
+    the odd one the opposite sign, with e^{ikl} = 1 at k = 0 and (-1)^l at
+    k = N/2.  A block of d rows becomes up to four sectors of about d/4.
     """
     N, lam, alpha = params.N, params.lam, params.alpha
     # Gershgorin: every level lies within N (1 + |lambda| + |alpha|) of 0.
@@ -199,32 +207,62 @@ def exact_spectrum(params: IsingParams) -> ManyBodySpectrum:
     angle = 2.0 * np.pi / N * (shift[flipped] + 0.5 * (turn[src] - turn[dst]))
     popcount = np.bitwise_count(reps).astype(np.int64)
     diagonal = -lam * (N - 2 * popcount)
+    # Sector bits of the state numbered by each orbit: 2 for an odd spin flip
+    # parity (conserved when alpha = 0), 1 for a P-odd state at k = 0, N/2.
+    parity = 2 * (popcount & 1) if alpha == 0.0 else np.zeros_like(popcount)
+    slot = (index != lead).astype(np.int64)
     momenta = [(k * R) % N == 0 for k in range(N // 2 + 1)]
-    largest = len(reps)  # k = 0 keeps every orbit, so its block is the largest
+    # No sector has more rows than the k = 0 block, which keeps every orbit.
+    largest = len(reps)
     check_cap(f"momentum block of dimension {largest}", 16 * largest**2)
+    # Largest blocks first: the buffers of the smaller blocks that follow then
+    # fit in memory the first ones freed, which keeps the resident peak down.
+    order = sorted(range(N // 2 + 1), key=lambda k: -np.count_nonzero(momenta[k]))
     levels = []
-    for k, keep in enumerate(momenta):
-        n, pos = int(keep.sum()), np.cumsum(keep) - 1
+    for k in order:
+        keep = momenta[k]
+        sector = parity
+        if 2 * k == N:
+            sector = parity | (slot ^ (turn & 1))
+        elif k == 0:
+            sector = parity | slot
+        # Sector matrices are packed one after another into one array; pos
+        # numbers the states of each sector and row is where each one's row
+        # starts.  The last slot collects the entries between sectors, which
+        # are zero up to rounding (sin(pi m) at k = N/2), and is dropped.
+        sizes = np.bincount(sector[keep], minlength=4)
+        start = np.concatenate(([0], np.cumsum(sizes**2)))
+        pos = np.zeros(len(reps), np.int64)
+        for label in range(4):
+            inside = keep & (sector == label)
+            pos[inside] = np.arange(sizes[label])
+        row = start[sector] + pos * sizes[sector]
         on = keep[src] & keep[dst]
         s, d, w = src[on], dst[on], weight[on]
         x, y = w * np.cos(k * angle[on]), w * np.sin(k * angle[on])
         # <row|H|col> = Re(conj(u_row) (x + iy) u_col) for u = even, i odd.
-        rows = (pos[lead[d]], pos[lead[d]], pos[follow[d]], pos[follow[d]])
-        cols = (pos[lead[s]], pos[follow[s]], pos[lead[s]], pos[follow[s]])
+        rows = (lead[d], lead[d], follow[d], follow[d])
+        cols = (lead[s], follow[s], lead[s], follow[s])
         values = (
             even[d] * even[s] * x,
             -even[d] * odd[s] * y,
             odd[d] * even[s] * y,
             odd[d] * odd[s] * x,
         )
-        flat = np.concatenate([r * n + c for r, c in zip(rows, cols)])
-        H = np.bincount(flat, np.concatenate(values), n * n).reshape(n, n)
-        H.flat[:: n + 1] += diagonal[keep]
-        try:
-            E = np.linalg.eigvalsh(H)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy internal
-            raise EigensolverFailure(str(exc)) from exc
-        levels += [E] if 2 * k % N == 0 else [E, E]
+        flat = np.concatenate([
+            np.where(sector[r] == sector[c], row[r] + pos[c], start[-1])
+            for r, c in zip(rows, cols)
+        ])
+        packed = np.bincount(flat, np.concatenate(values), start[-1] + 1)
+        for label in np.flatnonzero(sizes):
+            n = sizes[label]
+            H = packed[start[label] : start[label + 1]].reshape(n, n)
+            H.flat[:: n + 1] += diagonal[keep & (sector == label)]
+            try:
+                E = np.linalg.eigvalsh(H)
+            except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy internal
+                raise EigensolverFailure(str(exc)) from exc
+            levels += [E] if 2 * k % N == 0 else [E, E]
     energies = np.sort(np.concatenate(levels))
     return ManyBodySpectrum(energies=energies, method="dense", params=params)
 

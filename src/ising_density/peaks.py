@@ -209,9 +209,20 @@ def _binomial_clusters(N: int, step: int, moments: Callable) -> GaussianMixture:
     _check_components(N, N + 1)
     n = np.arange(0, N + 1, step)
     mean, var = moments(n)
-    total = 2**N
-    w = [step * math.comb(N, j) / total for j in n.tolist()]
-    return GaussianMixture(np.column_stack((w, mean, var)))
+    return GaussianMixture(np.column_stack((_binomial_weights(N, step), mean, var)))
+
+
+def _binomial_weights(N: int, step: int) -> list[float]:
+    """``step C(N, j) / 2^N`` for j = 0, step, ..., N, from the running
+    product C(N, i + 1) = C(N, i) (N - i) / (i + 1).  Each division is exact
+    in integers, so every binomial, and so every weight, is the one
+    ``math.comb`` gives."""
+    total, c, w = 2**N, 1, []
+    for j in range(0, N + 1, step):
+        w.append(step * c / total)
+        for i in range(j, min(j + step, N)):
+            c = c * (N - i) // (i + 1)
+    return w
 
 
 def tfim_mixture_components(N: int, lam: float) -> GaussianMixture:

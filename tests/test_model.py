@@ -9,6 +9,7 @@ sign configurations s in {+-1}^N on the ring.
 from __future__ import annotations
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -232,18 +233,41 @@ def test_momentum_blocks_match_free_fermions_at_twelve_sites(lam: float) -> None
 def test_every_momentum_block_is_solved_as_a_real_matrix(
     monkeypatch: pytest.MonkeyPatch, N: int, model: str, lam: float, alpha: float
 ) -> None:
+    blocks = record_solves(monkeypatch, IsingParams(N=N, lam=lam, alpha=alpha, model=model))
+    assert {dtype for dtype, _, _ in blocks} == {np.dtype(np.float64)}
+    # The momenta k and -k share their sectors for 0 < k < N/2.
+    copies = [1 if 2 * k % N == 0 else 2 for _, k, _ in blocks]
+    assert sum(c * n for c, (_, _, n) in zip(copies, blocks)) == 2**N
+
+
+def test_sectors_at_twelve_sites(monkeypatch: pytest.MonkeyPatch) -> None:
+    # tfim: spin-flip parity splits every momentum, and the reflection splits
+    # k = 0 and k = 6 again, so no solve reaches the 335-352 rows of a block.
+    blocks = record_solves(monkeypatch, IsingParams.tfim(12, 0.9))
+    assert len(blocks) == 18
+    assert max(n for _, _, n in blocks) == 176
+    # two-field: only the reflection, at k = 0 (352 orbits) and k = 6 (348).
+    blocks = record_solves(monkeypatch, IsingParams.two_field(12, 0.8, 0.6))
+    assert len(blocks) == 9
+    split = sorted(n for _, k, n in blocks if k in (0, 6))
+    assert split == [128, 158, 190, 224]
+
+
+def record_solves(
+    monkeypatch: pytest.MonkeyPatch, params: IsingParams
+) -> list[tuple[np.dtype, int, int]]:
+    """(dtype, momentum k, rows) of every eigvalsh call of exact_spectrum,
+    with k read from the caller's frame."""
     solve, blocks = np.linalg.eigvalsh, []
 
     def record(H: np.ndarray) -> np.ndarray:
-        blocks.append((H.dtype, H.shape[0]))
+        blocks.append((H.dtype, sys._getframe(1).f_locals["k"], H.shape[0]))
         return solve(H)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", record)
-    exact_spectrum(IsingParams(N=N, lam=lam, alpha=alpha, model=model))
-    assert [dtype for dtype, _ in blocks] == [np.dtype(np.float64)] * (N // 2 + 1)
-    # The momenta k and -k share a block for 0 < k < N/2.
-    copies = [1 if 2 * k % N == 0 else 2 for k in range(N // 2 + 1)]
-    assert sum(c * n for c, (_, n) in zip(copies, blocks)) == 2**N
+    exact_spectrum(params)
+    monkeypatch.setattr(np.linalg, "eigvalsh", solve)
+    return blocks
 
 
 def test_momentum_blocks_thirteen_sites_complete_with_bulk_moments() -> None:
@@ -255,6 +279,32 @@ def test_momentum_blocks_thirteen_sites_complete_with_bulk_moments() -> None:
     for name in ("m2", "m3", "m4"):
         expected = getattr(formula, name)
         assert getattr(numeric, name) == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("N", [12, 14])
+def test_reflection_sectors_complete_with_bulk_moments(N: int) -> None:
+    # Even N: both k = 0 and k = N/2 are split by the reflection.
+    params = IsingParams.two_field(N, 0.8, 0.6)
+    spec = exact_spectrum(params)
+    assert len(spec.energies) == 2**N
+    numeric, formula = numeric_moments(spec), analytic_moments(params)
+    assert abs(numeric.m1) < 1e-10 * formula.m2**0.5
+    for name in ("m2", "m3", "m4"):
+        assert getattr(numeric, name) == pytest.approx(getattr(formula, name), rel=1e-10)
+
+
+def test_sectors_match_free_fermions_at_fourteen_sites() -> None:
+    expected = enumerate_spectrum(14, 0.9).energies
+    energies = exact_spectrum(IsingParams.tfim(14, 0.9)).energies
+    np.testing.assert_allclose(energies, expected, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "params", [IsingParams.tfim(12, 0.9), IsingParams.two_field(12, 0.8, 0.6)]
+)
+def test_exact_spectrum_rerun_is_byte_identical(params: IsingParams) -> None:
+    first = exact_spectrum(params).energies.tobytes()
+    assert exact_spectrum(params).energies.tobytes() == first
 
 
 def test_numeric_moments_three_site() -> None:

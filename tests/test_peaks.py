@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from ising_density import errors
+from ising_density import errors, peaks
 from ising_density.blocks import (
     _cell_cost,
     _f_count,
@@ -1263,3 +1263,10 @@ def test_cells_caps_a_numpy_ring_size_before_the_walk():
     # 2 + N^2 // 4 in int64 wraps to 2 at N = 2^32.
     with pytest.raises(CapExceeded, match="^walking the 4611686018427387906 cells "):
         cells(np.int64(2**32))
+
+
+@pytest.mark.parametrize("N", [1, 2, 63, 64, 400, 2001])
+@pytest.mark.parametrize("step", [1, 2])
+def test_binomial_weights_are_bit_equal_to_math_comb(N: int, step: int) -> None:
+    expected = [step * math.comb(N, j) / 2**N for j in range(0, N + 1, step)]
+    assert peaks._binomial_weights(N, step) == expected
